@@ -2,9 +2,21 @@
 
 Graphs are structurally immutable: applying an edit returns a new Graph
 that shares node features and all untouched adjacency sets with its
-parent, so building a short edit sequence is cheap even on large graphs.
-Adjacency is kept as per-node frozensets plus a lazily built CSR matrix;
+parent. Adjacency is kept as per-node frozensets, which answer neighbor
+and edge queries, plus a lazily built CSR matrix for message passing;
 no dense n-by-n array is ever materialized.
+
+A derived graph does not rebuild its CSR from the frozensets. It records
+an ancestor, a graph whose CSR is built or can be built from scratch
+(a root made by ``Graph(...)``), and the edge flips made since that
+ancestor. Its first ``adjacency()`` call splices the net flips into the
+ancestor's CSR arrays, which costs numpy work proportional to the edit
+rather than a Python loop over every node, and then lets the ancestor
+go. Deriving from a graph whose CSR is not built yet (and that is not a
+root) hands on that graph's ancestor with the flips extended by one. An
+ancestor is therefore always a root or a graph with a built CSR, never
+a graph that itself waits on another, so no chain of graphs is kept
+alive.
 """
 from __future__ import annotations
 
@@ -40,10 +52,16 @@ class EdgeEdit:
 
 
 class Graph:
-    """Undirected graph with float64 node features and optional int labels."""
+    """Undirected graph with float64 node features and optional int labels.
+
+    ``_base`` and ``_flips`` hold a derived graph's ancestor and the edge
+    flips since it, until the first ``adjacency()`` call splices them
+    into the ancestor's CSR; a root and a graph whose CSR is built have
+    ``_base is None``.
+    """
 
     __slots__ = ("node_count", "features", "labels", "_nbrs", "_edge_count",
-                 "_adj_csr", "_norm_adj_csr")
+                 "_adj_csr", "_norm_adj_csr", "_base", "_flips", "__weakref__")
 
     def __init__(self, node_count: int, edges, features: np.ndarray,
                  labels: np.ndarray | None = None):
@@ -82,11 +100,14 @@ class Graph:
         self._edge_count = edge_count
         self._adj_csr = None
         self._norm_adj_csr = None
+        self._base = None
+        self._flips = ()
 
     # -- construction helpers -------------------------------------------------
 
     @classmethod
-    def _from_parts(cls, node_count, nbrs, edge_count, features, labels) -> "Graph":
+    def _from_parts(cls, node_count, nbrs, edge_count, features, labels,
+                    base: "Graph", flips: tuple) -> "Graph":
         g = object.__new__(cls)
         g.node_count = node_count
         g.features = features
@@ -95,6 +116,8 @@ class Graph:
         g._edge_count = edge_count
         g._adj_csr = None
         g._norm_adj_csr = None
+        g._base = base
+        g._flips = flips
         return g
 
     # -- basic queries ---------------------------------------------------------
@@ -129,30 +152,83 @@ class Graph:
     # -- sparse views ----------------------------------------------------------
 
     def adjacency(self) -> sp.csr_matrix:
-        """Binary adjacency as CSR float64 (cached)."""
+        """Binary adjacency as CSR float64 with sorted row indices (cached).
+
+        A derived graph splices its flips into its ancestor's CSR and then
+        drops the ancestor; a root builds from its neighbor sets.
+        """
         if self._adj_csr is None:
-            indptr = np.zeros(self.node_count + 1, dtype=np.int64)
-            indices = []
-            for u in range(self.node_count):
-                row = sorted(self._nbrs[u])
-                indices.extend(row)
-                indptr[u + 1] = indptr[u] + len(row)
-            indices = np.asarray(indices, dtype=np.int64)
+            n = self.node_count
+            if self._base is None:
+                indptr = np.zeros(n + 1, dtype=np.int64)
+                indices = []
+                for u in range(n):
+                    row = sorted(self._nbrs[u])
+                    indices.extend(row)
+                    indptr[u + 1] = indptr[u] + len(row)
+                indices = np.asarray(indices, dtype=np.int64)
+            else:
+                indptr, indices = _splice_flips(self._base.adjacency(),
+                                                self._flips)
+                self._base = None
+                self._flips = ()
             data = np.ones(len(indices), dtype=np.float64)
-            self._adj_csr = sp.csr_matrix(
-                (data, indices, indptr), shape=(self.node_count, self.node_count))
+            self._adj_csr = sp.csr_matrix((data, indices, indptr), shape=(n, n))
         return self._adj_csr
 
     def normalized_adjacency(self) -> sp.csr_matrix:
         """Symmetrically normalized adjacency with self-loops:
-        D^-1/2 (A + I) D^-1/2, cached."""
+        D^-1/2 (A + I) D^-1/2, cached.
+
+        Entry (i, j) is d[i] * d[j] with d = 1/sqrt(deg + 1), the value and
+        the sorted index order that the product D @ (A + I) @ D gives.
+        """
         if self._norm_adj_csr is None:
-            a = self.adjacency() + sp.identity(self.node_count, format="csr")
-            deg = np.asarray(a.sum(axis=1)).ravel()
-            inv_sqrt = 1.0 / np.sqrt(deg)
-            d = sp.diags(inv_sqrt)
-            self._norm_adj_csr = (d @ a @ d).tocsr()
+            a = self.adjacency()
+            n = self.node_count
+            counts = np.diff(a.indptr)
+            rows = np.repeat(np.arange(n), counts)
+            below = np.bincount(rows[a.indices < rows], minlength=n)
+            indices = np.insert(a.indices, a.indptr[:-1] + below, np.arange(n))
+            indptr = a.indptr + np.arange(n + 1)
+            d = 1.0 / np.sqrt((counts + 1).astype(np.float64))
+            data = d[np.repeat(np.arange(n), counts + 1)] * d[indices]
+            self._norm_adj_csr = sp.csr_matrix((data, indices, indptr),
+                                               shape=(n, n))
         return self._norm_adj_csr
+
+
+def _splice_flips(csr: sp.csr_matrix, flips) -> tuple[np.ndarray, np.ndarray]:
+    """(indptr, indices) of `csr` with the net effect of `flips` applied.
+
+    `flips` is a valid edit sequence from the graph `csr` describes, so a
+    pair flipped an even number of times is unchanged and one flipped an
+    odd number of times ends as its last flip says. Row indices stay
+    sorted.
+    """
+    net = {}
+    for e in flips:
+        key = (e.u, e.v)
+        if net.pop(key, None) is None:
+            net[key] = e.sign == ADD
+    pairs = np.array(list(net), dtype=np.int64).reshape(-1, 2)
+    rows = np.concatenate([pairs[:, 0], pairs[:, 1]])
+    cols = np.concatenate([pairs[:, 1], pairs[:, 0]])
+    add = np.tile(np.fromiter(net.values(), dtype=bool, count=len(net)), 2)
+    order = np.lexsort((cols, rows))
+    rows, cols, add = rows[order], cols[order], add[order]
+    indptr, indices = csr.indptr, csr.indices
+    pos = np.array([indptr[r] + np.searchsorted(indices[indptr[r]:indptr[r + 1]], c)
+                    for r, c in zip(rows.tolist(), cols.tolist())], dtype=np.int64)
+    del_pos = pos[~add]
+    ins_pos = pos[add]
+    kept = np.delete(indices, del_pos)
+    # an insertion point moves left by the deletions before it
+    ins_pos -= np.searchsorted(del_pos, ins_pos)
+    new_indices = np.insert(kept, ins_pos, cols[add])
+    shift = np.zeros(len(indptr), dtype=np.int64)
+    np.add.at(shift, rows + 1, np.where(add, 1, -1))
+    return indptr + np.cumsum(shift), new_indices
 
 
 def k_hop_neighborhood(g: Graph, v: int, k: int) -> frozenset:
@@ -193,7 +269,12 @@ def apply_edit(g: Graph, edit: EdgeEdit) -> Graph:
         nbrs[u] = g._nbrs[u] - {v}
         nbrs[v] = g._nbrs[v] - {u}
         edge_count = g._edge_count - 1
-    return Graph._from_parts(g.node_count, nbrs, edge_count, g.features, g.labels)
+    if g._base is None:  # g has a CSR or can build one from scratch
+        base, flips = g, (edit,)
+    else:
+        base, flips = g._base, g._flips + (edit,)
+    return Graph._from_parts(g.node_count, nbrs, edge_count, g.features,
+                             g.labels, base, flips)
 
 
 def apply_edits(g: Graph, edits) -> Graph:

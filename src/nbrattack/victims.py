@@ -187,10 +187,17 @@ def make_split(g: Graph, task: str, spec: SplitSpec, seed: int) -> Split:
 
 
 def _row_normalized_adjacency(g: Graph):
+    """D^-1 A with zero rows for isolated nodes: row i's entries are 1/deg(i).
+
+    Each row lists its columns in descending order. ``m @ x`` adds a row's
+    terms in index order, so another order changes results in the last bits.
+    """
     a = g.adjacency()
-    deg = np.asarray(a.sum(axis=1)).ravel()
+    deg = np.diff(a.indptr)
     scale = np.where(deg > 0, 1.0 / np.maximum(deg, 1.0), 0.0)
-    return (sp.diags(scale) @ a).tocsr()
+    mirror = np.repeat(a.indptr[:-1] + a.indptr[1:] - 1, deg) - np.arange(a.nnz)
+    return sp.csr_matrix((np.repeat(scale, deg), a.indices[mirror], a.indptr),
+                         shape=a.shape)
 
 
 def _init_params(kind: str, feature_dim: int, hidden: int, out_dim: int,

@@ -14,6 +14,7 @@ from functools import lru_cache
 from math import comb
 
 import numpy as np
+import pytest
 
 from nbrattack.analysis import (TargetCandidates, community_metric,
                                 correlation_study, local_clustering, spearman)
@@ -411,6 +412,7 @@ def test_distortion_noop_and_isometry():
 # -- 5. trained attacker beats the random baseline on the SBM benchmark ---------
 
 
+@pytest.mark.slow
 def test_attacker_beats_random_baseline():
     t0 = time.perf_counter()
     g, model, victim, acc, correct = _bench()
@@ -447,6 +449,7 @@ def test_attacker_beats_random_baseline():
 # -- 6. greedy dominates the learned attacker on quality, loses on speed --------
 
 
+@pytest.mark.slow
 def test_greedy_quality_and_speed_gap():
     t0 = time.perf_counter()
     g, model, victim, _, correct = _bench()

@@ -1,9 +1,13 @@
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import nbrattack
 from nbrattack.cli import (RunConfig, UsageError, emit_config, load_config,
                            main, parse_config_text)
 from nbrattack.io import read_blob, read_json
@@ -112,6 +116,24 @@ class TestExitCodes:
     def test_bad_config_file_missing(self, tmp_path):
         assert run("gen-sbm", "-c", str(tmp_path / "nope.txt"),
                    "-o", str(tmp_path)) == 3
+
+
+def test_module_entry_point(tmp_path):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(nbrattack.__file__)))
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+    def module_run(*argv):
+        return subprocess.run([sys.executable, "-m", "nbrattack.cli", *argv],
+                              cwd=tmp_path, env=env, capture_output=True,
+                              text=True, timeout=120)
+
+    helped = module_run("--help")
+    assert helped.returncode == 0
+    assert helped.stdout.startswith("usage: nbrattack")
+    bad = module_run("gen-sbm", "--set", "bogus=1")
+    assert bad.returncode == 2
+    assert "unknown config key 'bogus'" in bad.stderr
 
 
 @pytest.fixture(scope="module")

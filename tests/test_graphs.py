@@ -1,5 +1,9 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -26,6 +30,20 @@ def khop_oracle(g, v, k):
         reach |= a @ reach
         reach[v] = True
     return frozenset(np.flatnonzero(reach).tolist())
+
+
+def normalized_adjacency_oracle(g):
+    """Reference: D^-1/2 (A + I) D^-1/2 as two sparse-sparse products."""
+    a = g.adjacency() + sp.identity(g.node_count, format="csr")
+    deg = np.asarray(a.sum(axis=1)).ravel()
+    d = sp.diags(1.0 / np.sqrt(deg))
+    return (d @ a @ d).tocsr()
+
+
+def assert_same_csr(got, want):
+    for name in ("indptr", "indices", "data"):
+        x, y = getattr(got, name), getattr(want, name)
+        assert x.dtype == y.dtype and np.array_equal(x, y), name
 
 
 class TestGraphConstruction:
@@ -245,3 +263,58 @@ class TestCandidateEdits:
         edits = candidate_edits(path4, 0, accessible=[2, 3])
         g2 = apply_edits(path4, edits)
         assert graph_distance(path4, g2) == 2
+
+
+class TestSparseViews:
+    """A derived graph splices its flips into its ancestor's CSR."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_splice_matches_scratch_build(self, data):
+        n = data.draw(st.integers(2, 12))
+        all_pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        g = make_graph(n, data.draw(st.lists(st.sampled_from(all_pairs),
+                                             unique=True)))
+        if data.draw(st.booleans()):
+            g.adjacency()
+        steps = data.draw(st.lists(
+            st.tuples(st.sampled_from(all_pairs), st.booleans(), st.booleans()),
+            max_size=15))
+        for pair, twice, build in steps:
+            for _ in range(1 + twice):  # a second flip of a pair undoes the first
+                sign = DELETE if g.has_edge(*pair) else ADD
+                g = apply_edit(g, EdgeEdit(*pair, sign))
+            if build:
+                g.adjacency()
+        scratch = Graph(n, list(g.edges()), g.features)
+        got = g.adjacency()
+        assert_same_csr(got, scratch.adjacency())
+        for r in range(n):
+            assert np.all(np.diff(got.indices[got.indptr[r]:got.indptr[r + 1]]) > 0)
+        assert_same_csr(g.normalized_adjacency(),
+                        normalized_adjacency_oracle(scratch))
+
+    def test_normalized_adjacency_matches_oracle_on_sbm(self, small_sbm):
+        assert_same_csr(small_sbm.normalized_adjacency(),
+                        normalized_adjacency_oracle(small_sbm))
+
+    def test_built_child_releases_its_ancestor(self):
+        root = make_graph(5, [(0, 1), (1, 2)])
+        child = apply_edit(root, EdgeEdit(0, 4, ADD))
+        ref = weakref.ref(root)
+        child.adjacency()
+        del root
+        gc.collect()
+        assert ref() is None
+
+    def test_unbuilt_chain_holds_no_intermediates(self):
+        n = 60
+        g = make_graph(n, [])
+        refs = []
+        for v in range(1, 51):
+            g = apply_edit(g, EdgeEdit(0, v, ADD))
+            refs.append(weakref.ref(g))
+        gc.collect()
+        assert all(r() is None for r in refs[:-1])
+        assert_same_csr(g.adjacency(),
+                        Graph(n, list(g.edges()), g.features).adjacency())

@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from nbrattack.errors import DataError
 from nbrattack.graphs import Graph, candidate_edits
 from nbrattack.numerics import finite_diff_check, rng_from_seed, softmax_rows
 from nbrattack.sbm import generate_sbm
 from nbrattack.victims import (SplitSpec, VictimBundle, VictimConfig,
-                               VictimModel, _init_params, _task_correct,
+                               VictimModel, _init_params,
+                               _row_normalized_adjacency, _task_correct,
                                _task_loss, _victim_backward, drop_in_accuracy,
                                evaluate_batch, evaluate_target, make_split,
                                run_benchmark, train_victim, victim_forward)
@@ -126,6 +128,19 @@ class TestForward:
                               4, 2, rng_from_seed(2))
         out, _ = victim_forward("mean-aggregator", params, triangle_plus)
         assert np.all(np.isfinite(out))
+
+    @pytest.mark.parametrize("graph", ["small_sbm", "triangle_plus"])
+    def test_row_normalized_adjacency_matches_product(self, graph, request):
+        # reference: diag(1/deg) @ A as a sparse product; its index order
+        # fixes the summation order of m @ x, so compare arrays exactly
+        g = request.getfixturevalue(graph)
+        a = g.adjacency()
+        deg = np.asarray(a.sum(axis=1)).ravel()
+        scale = np.where(deg > 0, 1.0 / np.maximum(deg, 1.0), 0.0)
+        want = (sp.diags(scale) @ a).tocsr()
+        got = _row_normalized_adjacency(g)
+        for name in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
 
     def test_unknown_kind(self, small_sbm):
         with pytest.raises(DataError):
