@@ -14,6 +14,15 @@ aggregation is (1+eps) * W + A @ W, which keeps every pass at
 O(|E| * dim) using the CSR adjacency. Backprop is written by hand and
 checked coordinate-wise against central differences in the tests.
 
+An epoch is array-native outside the walk steps themselves. Each step
+makes one scalar draw, in the order a walk-by-walk loop makes them, so
+the generator's stream is fixed; the walks land in one array and their
+context pairs come from a single position template. The loss gradient
+is scattered with one ``np.bincount`` per embedding column, which adds
+each node's terms in the order ``np.add.at`` would, so the gradient,
+and with it every trained model, is bit-identical to the per-pair
+scatter it replaces.
+
 A GCN backend (same loss, symmetric-normalized propagation) is kept for
 ablation; tables carry a backend tag so downstream stages can tell them
 apart.
@@ -260,24 +269,46 @@ def embedding_forward(model, g: Graph) -> EmbeddingTable:
 
 # -- random walks and the skip-gram objective ---------------------------------------
 
+# Rows of z gathered at once when scoring pairs in unsup_loss.
+_SCORE_CHUNK = 1 << 16
 
-def _second_order_walk(g: Graph, indptr, indices, start: int, length: int,
-                       p: float, q: float, rng: np.random.Generator) -> list[int]:
+
+def _second_order_walk(nbrs: list[list[int]], indptr, indices, start: int,
+                       length: int, p: float, q: float,
+                       rng: np.random.Generator) -> list[int]:
+    """One walk from ``start``; it stops early only at an isolated start.
+
+    Every step makes the same single draw as a plain per-step loop would:
+    ``rng.integers(deg)`` on a uniform step, ``rng.choice(deg, p=w)`` on a
+    biased one, so the generator's stream does not depend on how the
+    walks are stored.
+    """
     walk = [start]
-    uniform = (p == 1.0 and q == 1.0)
+    draw = rng.integers
+    if p == 1.0 and q == 1.0:
+        cur = start
+        for _ in range(length - 1):
+            row = nbrs[cur]
+            if not row:
+                break
+            cur = row[draw(len(row))]
+            walk.append(cur)
+        return walk
     while len(walk) < length:
         cur = walk[-1]
         row = indices[indptr[cur]:indptr[cur + 1]]
         if row.size == 0:
             break
-        if uniform or len(walk) == 1:
-            nxt = int(row[rng.integers(row.size)])
+        if len(walk) == 1:
+            nxt = int(row[draw(row.size)])
         else:
             prev = walk[-2]
             w = np.ones(row.size)
             w[row == prev] = 1.0 / p
-            far = np.array([not g.has_edge(int(x), prev) and int(x) != prev
-                            for x in row])
+            # rows are sorted, so one searchsorted finds each x's slot in prev's row
+            prow = indices[indptr[prev]:indptr[prev + 1]]
+            near = prow[np.minimum(prow.searchsorted(row), prow.size - 1)] == row
+            far = ~near & (row != prev)
             w[far] = 1.0 / q
             w /= w.sum()
             nxt = int(row[rng.choice(row.size, p=w)])
@@ -290,37 +321,34 @@ def sample_positive_walks(g: Graph, cfg: WalkConfig, rng: np.random.Generator
     """Skip-gram (center, context) pairs from node2vec-style walks.
 
     Context windows look forward only: walk positions (i, j) pair up for
-    i < j <= i + context_size. Returns an int64 array of shape (P, 2).
+    i < j <= i + context_size. Returns an int64 array of shape (P, 2),
+    walk by walk in generation order (``walks_per_node`` rounds over the
+    nodes), each walk's pairs ordered by i then j. The walks go into one
+    (walks, walk_length) array, and the pairs are expanded from a single
+    position template, masked to each walk's length.
     """
     if cfg.walk_length < 1 or cfg.context_size < 1 or cfg.walks_per_node < 1:
         raise DataError("walk configuration values must be positive")
     csr = g.adjacency()
     indptr, indices = csr.indptr, csr.indices
-    pairs = []
+    n, length = g.node_count, cfg.walk_length
+    nbrs = [indices[indptr[u]:indptr[u + 1]].tolist() for u in range(n)]
+    steps, lens = [], []
     for _ in range(cfg.walks_per_node):
-        for start in range(g.node_count):
-            walk = _second_order_walk(g, indptr, indices, start,
-                                      cfg.walk_length, cfg.return_p,
-                                      cfg.inout_q, rng)
-            for i in range(len(walk) - 1):
-                for j in range(i + 1, min(i + cfg.context_size, len(walk) - 1) + 1):
-                    pairs.append((walk[i], walk[j]))
-    if not pairs:
-        return np.empty((0, 2), dtype=np.int64)
-    return np.asarray(pairs, dtype=np.int64)
-
-
-def negative_sample(g: Graph, v: int, count: int, rng: np.random.Generator
-                    ) -> np.ndarray:
-    """`count` distinct non-neighbors of v (v excluded), uniform."""
-    if not (0 <= v < g.node_count):
-        raise DataError(f"node {v} out of range")
-    eligible = np.array([x for x in range(g.node_count)
-                         if x != v and not g.has_edge(v, x)], dtype=np.int64)
-    if eligible.size < count:
-        raise SamplingError(
-            f"need {count} negatives for node {v}, only {eligible.size} eligible")
-    return rng.choice(eligible, size=count, replace=False)
+        for start in range(n):
+            walk = _second_order_walk(nbrs, indptr, indices, start, length,
+                                      cfg.return_p, cfg.inout_q, rng)
+            steps.extend(walk)
+            lens.append(len(walk))
+    lens = np.asarray(lens, dtype=np.int64)
+    walks = np.zeros((lens.size, length), dtype=np.int64)
+    walks[np.arange(length) < lens[:, None]] = steps
+    # the template: positions (i, j) of a full-length walk, ordered by i then j
+    ti, tj = np.triu_indices(length, 1)
+    window = tj - ti <= cfg.context_size
+    ti, tj = ti[window], tj[window]
+    keep = tj < lens[:, None]
+    return np.stack([walks[:, ti][keep], walks[:, tj][keep]], axis=1)
 
 
 def _batch_negatives(g: Graph, centers: np.ndarray, per_center: int,
@@ -356,30 +384,63 @@ def _batch_negatives(g: Graph, centers: np.ndarray, per_center: int,
     return np.stack([cen, out], axis=1)
 
 
+def _pair_scores(z: np.ndarray, c: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Row-wise dot products z[c] . z[x], gathered _SCORE_CHUNK rows at a time."""
+    s = np.empty(c.size)
+    for lo in range(0, c.size, _SCORE_CHUNK):
+        hi = lo + _SCORE_CHUNK
+        s[lo:hi] = np.einsum("ij,ij->i", z.take(c[lo:hi], axis=0),
+                             z.take(x[lo:hi], axis=0))
+    return s
+
+
 def unsup_loss(table: EmbeddingTable, positives: np.ndarray,
                negatives: np.ndarray) -> tuple[float, np.ndarray]:
     """Skip-gram loss with negative sampling and its gradient w.r.t. Z.
 
     positives/negatives are (*, 2) int arrays of (center, other) rows;
     each block contributes the mean over its rows. Either may be empty.
+
+    The epoch is array-native: every (c, x) row with coefficient k adds
+    k * z[x] to dz[c] and k * z[c] to dz[x], and all these terms go
+    through one ``np.bincount`` per embedding column, over the targets
+    [c_pos, x_pos, c_neg, x_neg] in that order. ``bincount`` adds each
+    node's terms from 0.0 in input order, the order in which four
+    unbuffered ``add.at`` scatters (positives by center, then by context,
+    then negatives likewise) add them, so dz is bit-identical to that
+    scatter while no (P, dim) array is ever built. Scores are computed
+    _SCORE_CHUNK rows at a time for the same reason.
     """
     z = table.values
     loss = 0.0
+    targets, others, coefs = [], [], []
+    for block, positive in ((positives, True), (negatives, False)):
+        if not block.size:
+            continue
+        c, x = block[:, 0], block[:, 1]
+        s = _pair_scores(z, c, x)
+        if positive:
+            loss += float(np.mean(neg_log_sigmoid(s)))
+            coef = (sigmoid(s) - 1.0) / len(s)
+        else:
+            loss += float(np.mean(neg_log_sigmoid(-s)))
+            coef = sigmoid(s) / len(s)
+        targets += [c, x]
+        others += [x, c]
+        coefs += [coef, coef]
     dz = np.zeros_like(z)
-    if positives.size:
-        c, x = positives[:, 0], positives[:, 1]
-        s = np.einsum("ij,ij->i", z[c], z[x])
-        loss += float(np.mean(neg_log_sigmoid(s)))
-        coef = (sigmoid(s) - 1.0) / len(s)
-        np.add.at(dz, c, coef[:, None] * z[x])
-        np.add.at(dz, x, coef[:, None] * z[c])
-    if negatives.size:
-        c, x = negatives[:, 0], negatives[:, 1]
-        s = np.einsum("ij,ij->i", z[c], z[x])
-        loss += float(np.mean(neg_log_sigmoid(-s)))
-        coef = sigmoid(s) / len(s)
-        np.add.at(dz, c, coef[:, None] * z[x])
-        np.add.at(dz, x, coef[:, None] * z[c])
+    if targets:
+        targets = np.concatenate(targets)
+        others = np.concatenate(others)
+        coefs = np.concatenate(coefs)
+        terms = np.empty_like(coefs)
+        for j, col in enumerate(np.ascontiguousarray(z.T)):
+            # others holds the same indices as targets, which the score
+            # gathers and bincount range-check; "clip" only skips the
+            # buffered copy of `out` that mode="raise" makes
+            np.take(col, others, out=terms, mode="clip")
+            terms *= coefs
+            dz[:, j] = np.bincount(targets, weights=terms, minlength=len(z))
     return loss, dz
 
 

@@ -284,13 +284,16 @@ def apply_edits(g: Graph, edits) -> Graph:
 
 
 def graph_distance(a: Graph, b: Graph) -> int:
-    """Number of edges present in exactly one of the two graphs."""
+    """Number of edges present in exactly one of the two graphs.
+
+    A graph derived by ``apply_edit`` shares every untouched neighbor set
+    with its parent, so only rows whose sets differ in identity are
+    compared.
+    """
     if a.node_count != b.node_count:
         raise DataError(
             f"node count mismatch: {a.node_count} vs {b.node_count}")
-    dist = 0
-    for u in range(a.node_count):
-        dist += len(a._nbrs[u] ^ b._nbrs[u])
+    dist = sum(len(x ^ y) for x, y in zip(a._nbrs, b._nbrs) if x is not y)
     return dist // 2
 
 

@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from nbrattack.graphs import Graph
+
+# Property tests draw the same examples on every run, so two runs of the
+# suite (say, before and after a change) test the same inputs.
+settings.register_profile("derandomized", derandomize=True, deadline=None)
+settings.load_profile("derandomized")
 
 
 def make_graph(n, edges, feature_dim=2, labels=None, seed=0):

@@ -1,16 +1,92 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import nbrattack.embed as embed_module
 from nbrattack.embed import (EmbedConfig, EmbeddingTable, GcnEmbedParams,
                              GinParams, WalkConfig, _batch_negatives,
                              embedding_forward, gcn_embed_forward,
                              gin_forward, load_embed_model, load_embedding,
-                             negative_sample, sample_positive_walks,
-                             save_embed_model, save_embedding,
-                             train_embedding, train_gin, unsup_loss)
+                             sample_positive_walks, save_embed_model,
+                             save_embedding, train_embedding, train_gin,
+                             unsup_loss)
 from nbrattack.errors import DataError, SamplingError
-from nbrattack.numerics import rng_from_seed
+from nbrattack.numerics import neg_log_sigmoid, rng_from_seed, sigmoid
 from tests.conftest import make_graph
+
+
+def negative_sample(g, v, count, rng):
+    """`count` distinct non-neighbors of v (v excluded), uniform.
+
+    Reference for `_batch_negatives`: an exact per-node draw without
+    rejection sampling.
+    """
+    if not (0 <= v < g.node_count):
+        raise DataError(f"node {v} out of range")
+    eligible = np.array([x for x in range(g.node_count)
+                         if x != v and not g.has_edge(v, x)], dtype=np.int64)
+    if eligible.size < count:
+        raise SamplingError(
+            f"need {count} negatives for node {v}, only {eligible.size} eligible")
+    return rng.choice(eligible, size=count, replace=False)
+
+
+def walk_pairs_oracle(g, cfg, rng):
+    """Reference walk-and-pair builder: one walk at a time, one Python
+    append per context pair, and a per-neighbor has_edge loop on biased
+    steps."""
+    csr = g.adjacency()
+    indptr, indices = csr.indptr, csr.indices
+    p, q = cfg.return_p, cfg.inout_q
+    pairs = []
+    for _ in range(cfg.walks_per_node):
+        for start in range(g.node_count):
+            walk = [start]
+            while len(walk) < cfg.walk_length:
+                cur = walk[-1]
+                row = indices[indptr[cur]:indptr[cur + 1]]
+                if row.size == 0:
+                    break
+                if (p == 1.0 and q == 1.0) or len(walk) == 1:
+                    nxt = int(row[rng.integers(row.size)])
+                else:
+                    prev = walk[-2]
+                    w = np.ones(row.size)
+                    w[row == prev] = 1.0 / p
+                    far = np.array([not g.has_edge(int(x), prev) and int(x) != prev
+                                    for x in row])
+                    w[far] = 1.0 / q
+                    w /= w.sum()
+                    nxt = int(row[rng.choice(row.size, p=w)])
+                walk.append(nxt)
+            for i in range(len(walk) - 1):
+                for j in range(i + 1, min(i + cfg.context_size, len(walk) - 1) + 1):
+                    pairs.append((walk[i], walk[j]))
+    if not pairs:
+        return np.empty((0, 2), dtype=np.int64)
+    return np.asarray(pairs, dtype=np.int64)
+
+
+def unsup_loss_oracle(z, positives, negatives):
+    """Reference loss: (P, d) products scattered by four np.add.at calls."""
+    loss = 0.0
+    dz = np.zeros_like(z)
+    if positives.size:
+        c, x = positives[:, 0], positives[:, 1]
+        s = np.einsum("ij,ij->i", z[c], z[x])
+        loss += float(np.mean(neg_log_sigmoid(s)))
+        coef = (sigmoid(s) - 1.0) / len(s)
+        np.add.at(dz, c, coef[:, None] * z[x])
+        np.add.at(dz, x, coef[:, None] * z[c])
+    if negatives.size:
+        c, x = negatives[:, 0], negatives[:, 1]
+        s = np.einsum("ij,ij->i", z[c], z[x])
+        loss += float(np.mean(neg_log_sigmoid(-s)))
+        coef = sigmoid(s) / len(s)
+        np.add.at(dz, c, coef[:, None] * z[x])
+        np.add.at(dz, x, coef[:, None] * z[c])
+    return loss, dz
 
 
 def dense_gin_oracle(params, g):
@@ -131,6 +207,30 @@ class TestWalks:
         with pytest.raises(DataError):
             sample_positive_walks(path4, WalkConfig(walk_length=0), rng_from_seed(0))
 
+    @settings(max_examples=150)
+    @given(st.data())
+    def test_matches_oracle_exactly(self, data):
+        # small graphs with isolated nodes, biased and uniform steps, walks
+        # of length 1 and windows longer than the walk
+        n = data.draw(st.integers(1, 9))
+        all_pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        edges = data.draw(st.lists(st.sampled_from(all_pairs), unique=True)
+                          if all_pairs else st.just([]))
+        g = make_graph(n, edges)
+        biases = st.sampled_from([1.0, 0.25, 0.5, 2.0, 4.0])
+        cfg = WalkConfig(walk_length=data.draw(st.integers(1, 7)),
+                         context_size=data.draw(st.integers(1, 9)),
+                         walks_per_node=data.draw(st.integers(1, 3)),
+                         return_p=data.draw(biases),
+                         inout_q=data.draw(biases))
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        got_rng, want_rng = rng_from_seed(seed), rng_from_seed(seed)
+        got = sample_positive_walks(g, cfg, got_rng)
+        want = walk_pairs_oracle(g, cfg, want_rng)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.array_equal(got, want)
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
 
 class TestNegatives:
     def test_distinct_non_neighbors(self, triangle_plus):
@@ -201,6 +301,35 @@ class TestUnsupLoss:
         assert loss == 0.0
         assert not dz.any()
 
+    @settings(max_examples=150)
+    @given(st.data())
+    def test_matches_add_at_oracle_exactly(self, data):
+        # empty blocks, repeated rows and self pairs included
+        n = data.draw(st.integers(1, 6))
+        dim = data.draw(st.integers(1, 4))
+        z = rng_from_seed(data.draw(st.integers(0, 2**32 - 1))).normal(
+            size=(n, dim))
+        rows = st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                        max_size=12)
+        pos = np.array(data.draw(rows), dtype=np.int64).reshape(-1, 2)
+        neg = np.array(data.draw(rows), dtype=np.int64).reshape(-1, 2)
+        loss, dz = unsup_loss(EmbeddingTable(values=z, backend="gin"), pos, neg)
+        want_loss, want_dz = unsup_loss_oracle(z, pos, neg)
+        assert loss == want_loss
+        assert np.array_equal(dz, want_dz)
+
+    def test_matches_add_at_oracle_across_chunks(self):
+        # more rows than one scoring chunk, heavy repetition of targets
+        rng = rng_from_seed(4)
+        z = rng.normal(size=(50, 16))
+        pos = rng.integers(0, 50, size=(150_000, 2))
+        neg = rng.integers(0, 50, size=(70_000, 2))
+        loss, dz = unsup_loss(EmbeddingTable(values=z, backend="gin"), pos, neg)
+        want_loss, want_dz = unsup_loss_oracle(z, pos, neg)
+        assert loss == want_loss
+        assert np.array_equal(dz, want_dz)
+        assert dz.flags.c_contiguous
+
     def test_means_not_sums(self):
         # duplicating every positive row must not change the loss
         z = rng_from_seed(2).normal(size=(4, 2))
@@ -233,6 +362,21 @@ class TestTraining:
         res = train_embedding(small_sbm, cfg, seed=0)
         assert res.table.backend == "gcn"
         assert isinstance(res.model, GcnEmbedParams)
+
+    @pytest.mark.parametrize("p, q", [(1.0, 1.0), (0.5, 2.0)])
+    def test_matches_oracle_training(self, small_sbm, monkeypatch, p, q):
+        cfg = EmbedConfig(hidden_dim=4, layer_count=2, epochs=3,
+                          walk=WalkConfig(walk_length=8, context_size=3,
+                                          walks_per_node=2, return_p=p,
+                                          inout_q=q))
+        got = train_embedding(small_sbm, cfg, seed=3)
+        monkeypatch.setattr(embed_module, "sample_positive_walks",
+                            walk_pairs_oracle)
+        monkeypatch.setattr(embed_module, "unsup_loss",
+                            lambda t, pos, neg: unsup_loss_oracle(t.values, pos, neg))
+        want = train_embedding(small_sbm, cfg, seed=3)
+        assert got.losses == want.losses
+        assert np.array_equal(got.table.values, want.table.values)
 
     def test_train_gin_returns_table(self, small_sbm):
         cfg = EmbedConfig(hidden_dim=4, layer_count=2, epochs=2)

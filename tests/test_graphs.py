@@ -180,6 +180,22 @@ class TestGraphDistance:
         gb = make_graph(4, [(1, 2), (2, 3), (0, 3)])
         assert graph_distance(ga, gb) == 3
 
+    @settings(max_examples=50, deadline=None)
+    @given(st.data())
+    def test_derived_graph_counts_net_flips(self, data):
+        # a derived graph shares its untouched neighbor sets with the base
+        n = data.draw(st.integers(2, 8))
+        all_pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        base = make_graph(n, data.draw(st.lists(st.sampled_from(all_pairs),
+                                                unique=True)))
+        g = base
+        for pair in data.draw(st.lists(st.sampled_from(all_pairs), max_size=10)):
+            sign = DELETE if g.has_edge(*pair) else ADD
+            g = apply_edit(g, EdgeEdit(*pair, sign))
+        want = len(base.edge_set() ^ g.edge_set())
+        assert graph_distance(base, g) == want
+        assert graph_distance(g, base) == want
+
 
 class TestNeighborhoodDistortion:
     def test_zero_on_identical(self, path4):
