@@ -3,7 +3,9 @@
 Two GNNs with different jobs: a frozen embedding model (trained
 upstream) recomputes embeddings of each intermediate graph to provide
 the reward signal, while a small GCN over node features — trained
-end-to-end here — feeds the Q-function. The Q-function scores an edit
+end-to-end here, without biases, on the stacked-GCN pass that the GCN
+victim and the GCN embedding backend share (``numerics.gcn_forward``) —
+feeds the Q-function. The Q-function scores an edit
 (v, t, sign) against the current state:
 
     state   mu_s = sum of GCN embeddings over N^k(t) in the edited graph
@@ -26,12 +28,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import io as fileio
-from .distortion import embedding_distortion
-from .embed import EmbeddingTable, embedding_forward
+from .distortion import graph_pair_distortion
 from .errors import DataError, TrainingError
 from .graphs import (ADD, EdgeEdit, Graph, apply_edit, apply_edits,
                      candidate_edits, k_hop_neighborhood)
-from .numerics import Adam, relu, rng_from_seed, sigmoid, xavier_uniform
+from .numerics import (Adam, gcn_backward, gcn_forward, rng_from_seed, sigmoid,
+                       xavier_uniform)
 
 
 @dataclass
@@ -118,37 +120,13 @@ def _mu_forward(qnet: QNetParams, g: Graph):
     if qnet.gcn_ws[0].shape[0] != g.feature_dim:
         raise DataError(
             f"qnet expects {qnet.gcn_ws[0].shape[0]} features, graph has {g.feature_dim}")
-    s = g.normalized_adjacency()
-    h = g.features
-    cache = []
-    last = len(qnet.gcn_ws) - 1
-    for i, w in enumerate(qnet.gcn_ws):
-        lin = s @ (h @ w)
-        out = lin if i == last else relu(lin)
-        cache.append({"h_prev": h, "lin": lin})
-        h = out
-    return h, cache
+    return gcn_forward(g.normalized_adjacency(), g.features, qnet.gcn_ws)
 
 
 def _mu_backward(qnet: QNetParams, g: Graph, cache, dmu: np.ndarray
                  ) -> dict[str, np.ndarray]:
-    s = g.normalized_adjacency()
-    grads = {}
-    dh = dmu
-    last = len(qnet.gcn_ws) - 1
-    for i in reversed(range(len(qnet.gcn_ws))):
-        dlin = dh if i == last else dh * (cache[i]["lin"] > 0)
-        back = s.T @ dlin  # S symmetric, but keep the transpose honest
-        grads[f"gcn.{i}"] = cache[i]["h_prev"].T @ back
-        if i > 0:
-            dh = back @ qnet.gcn_ws[i].T
-    return grads
-
-
-def state_repr(qnet: QNetParams, g: Graph, t: int) -> np.ndarray:
-    """Sum of GCN embeddings over the k-hop neighborhood of t in g."""
-    mu, _ = _mu_forward(qnet, g)
-    return _state_from_mu(mu, g, t, qnet.k)
+    dws, _ = gcn_backward(g.normalized_adjacency(), qnet.gcn_ws, cache, dmu)
+    return {f"gcn.{i}": dw for i, dw in enumerate(dws)}
 
 
 def _state_from_mu(mu: np.ndarray, g: Graph, t: int, k: int) -> np.ndarray:
@@ -156,31 +134,14 @@ def _state_from_mu(mu: np.ndarray, g: Graph, t: int, k: int) -> np.ndarray:
     return mu[hood].sum(axis=0)
 
 
-def action_repr(qnet: QNetParams, g: Graph, v: int, t: int, sign: str) -> np.ndarray:
-    if v == t:
-        raise DataError("action endpoint equals the target")
-    mu, _ = _mu_forward(qnet, g)
-    return _action_from_mu(mu, v, t, sign)
-
-
 def _action_from_mu(mu: np.ndarray, v: int, t: int, sign: str) -> np.ndarray:
     vec = np.concatenate([mu[v], mu[t]])
     return vec if sign == ADD else -vec
 
 
-def q_forward(qnet: QNetParams, state_vec: np.ndarray, action_vec: np.ndarray
-              ) -> float:
-    cat = np.concatenate([state_vec, action_vec])
-    if cat.shape[0] != qnet.w_merge.shape[0]:
-        raise DataError(
-            f"state+action dim {cat.shape[0]} != merge input {qnet.w_merge.shape[0]}")
-    hid = sigmoid(cat @ qnet.w_merge)
-    return float(hid @ qnet.w_out)
-
-
 def _score_candidates(qnet: QNetParams, mu: np.ndarray, g: Graph, t: int,
                       cands: list[EdgeEdit]) -> np.ndarray:
-    """Vectorized q_forward over candidate edits on one graph."""
+    """Q-values of all candidate edits on one graph in one product."""
     h = mu.shape[1]
     mu_s = _state_from_mu(mu, g, t, qnet.k)
     rows = np.empty((len(cands), 3 * h))
@@ -193,14 +154,10 @@ def _score_candidates(qnet: QNetParams, mu: np.ndarray, g: Graph, t: int,
     return sigmoid(rows @ qnet.w_merge) @ qnet.w_out
 
 
-def step_reward(embed_model, t: int, g_i: Graph, g_next: Graph,
-                z_next: EmbeddingTable | None = None, k: int = 2) -> float:
+def step_reward(embed_model, t: int, g_i: Graph, g_next: Graph, k: int = 2
+                ) -> float:
     """Marginal distortion gain of one edit, in the new graph's embedding."""
-    if z_next is None:
-        z_next = embedding_forward(embed_model, g_next)
-    n_orig = k_hop_neighborhood(g_i, t, k)
-    n_pert = k_hop_neighborhood(g_next, t, k)
-    return embedding_distortion(z_next, t, n_orig, n_pert).value
+    return graph_pair_distortion(embed_model, g_i, g_next, t, k).value
 
 
 # -- training --------------------------------------------------------------------------
@@ -276,9 +233,7 @@ def train_dqn(g: Graph, embed_model, cfg: AttackEpisodeConfig, seed: int,
                 scores = _score_candidates(qnet, mu, g_cur, t, cands)
                 edit = cands[int(np.argmax(scores))]
             g_next = apply_edit(g_cur, edit)
-            z_next = embedding_forward(embed_model, g_next)
-            rewards.append(step_reward(embed_model, t, g_cur, g_next,
-                                       z_next, cfg.k))
+            rewards.append(step_reward(embed_model, t, g_cur, g_next, cfg.k))
             edits.append(edit)
             edited.add(edit.v if edit.u == t else edit.u)
             g_cur = g_next
@@ -368,15 +323,15 @@ def _fit_batch(qnet: QNetParams, g: Graph, batch: list[ReplayTuple],
 def infer_attack(qnet: QNetParams, g: Graph, t: int, budget: int,
                  accessible=None) -> list[EdgeEdit]:
     """Budget forward passes: per step, score every candidate edit on the
-    current graph (signs re-derived) and commit the argmax. Ties go to
-    the lowest endpoint id, additions before deletions."""
+    current graph (signs re-derived) and commit the argmax. Candidates
+    come one per other endpoint in ascending id order, so ties go to the
+    lowest endpoint id."""
     if budget < 0:
         raise DataError(f"negative budget {budget}")
     chosen: list[EdgeEdit] = []
     cur = g
     for _ in range(budget):
         cands = candidate_edits(cur, t, accessible)
-        cands.sort(key=lambda e: ((e.v if e.u == t else e.u), e.sign))
         mu, _ = _mu_forward(qnet, cur)
         scores = _score_candidates(qnet, mu, cur, t, cands)
         edit = cands[int(np.argmax(scores))]

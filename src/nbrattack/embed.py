@@ -24,8 +24,9 @@ and with it every trained model, is bit-identical to the per-pair
 scatter it replaces.
 
 A GCN backend (same loss, symmetric-normalized propagation) is kept for
-ablation; tables carry a backend tag so downstream stages can tell them
-apart.
+ablation; it runs the stacked-GCN pass of ``numerics`` that the
+Q-network and the GCN victim share, with one-hot input. Tables carry a
+backend tag so downstream stages can tell them apart.
 """
 from __future__ import annotations
 
@@ -36,8 +37,8 @@ import numpy as np
 from . import io as fileio
 from .errors import DataError, SamplingError
 from .graphs import Graph
-from .numerics import (Adam, neg_log_sigmoid, relu, rng_from_seed, sigmoid,
-                       xavier_uniform)
+from .numerics import (Adam, gcn_backward, gcn_forward, neg_log_sigmoid, relu,
+                       rng_from_seed, sigmoid, xavier_uniform)
 
 
 @dataclass
@@ -128,7 +129,7 @@ class GinParams:
 
 @dataclass
 class GcnEmbedParams:
-    """Unsupervised GCN backend: H_i = act(S H_{i-1} W_i + b_i), H_0 = I."""
+    """Unsupervised GCN backend: H_i = act(S (H_{i-1} W_i) + b_i), H_0 = I."""
 
     node_count: int
     hidden_dim: int
@@ -224,17 +225,8 @@ def _gcn_embed_forward_cached(params: GcnEmbedParams, g: Graph):
     if params.node_count != g.node_count:
         raise DataError(
             f"params built for {params.node_count} nodes, graph has {g.node_count}")
-    s = g.normalized_adjacency()
-    cache = []
-    h = None
-    last = len(params.weights) - 1
-    for i, (w, b) in enumerate(zip(params.weights, params.biases)):
-        p = s if i == 0 else s @ h  # S @ H_prev, with H_0 = I
-        lin = p @ w + b
-        out = lin if i == last else relu(lin)
-        cache.append({"p": p, "lin": lin})
-        h = out
-    return h, cache
+    return gcn_forward(g.normalized_adjacency(), None, params.weights,
+                       params.biases)
 
 
 def gcn_embed_forward(params: GcnEmbedParams, g: Graph) -> EmbeddingTable:
@@ -244,18 +236,12 @@ def gcn_embed_forward(params: GcnEmbedParams, g: Graph) -> EmbeddingTable:
 
 def _gcn_embed_backward(params: GcnEmbedParams, g: Graph, cache,
                         d_out: np.ndarray) -> dict[str, np.ndarray]:
-    s = g.normalized_adjacency()
+    dws, dbs = gcn_backward(g.normalized_adjacency(), params.weights, cache,
+                            d_out)
     grads: dict[str, np.ndarray] = {}
-    dh = d_out
-    last = len(params.weights) - 1
-    for i in reversed(range(len(params.weights))):
-        lin = cache[i]["lin"]
-        dlin = dh if i == last else dh * (lin > 0)
-        grads[f"{i}.b"] = dlin.sum(axis=0)
-        p = cache[i]["p"]
-        grads[f"{i}.w"] = p.T @ dlin
-        if i > 0:
-            dh = s.T @ (dlin @ params.weights[i].T)
+    for i, (dw, db) in enumerate(zip(dws, dbs)):
+        grads[f"{i}.w"] = dw
+        grads[f"{i}.b"] = db
     return grads
 
 

@@ -1,5 +1,10 @@
-"""Small float64 numeric kernel: activations, affine layers, Adam, RNG
-helpers and a central-difference gradient checker.
+"""Small float64 numeric kernel: activations, the stacked-GCN pass, Adam,
+RNG helpers and a central-difference gradient checker.
+
+The Q-network, the GCN victim and the GCN embedding backend all run one
+stacked GCN (Kipf & Welling, ICLR 2017), so its forward and backward
+live here once, as ``gcn_forward``/``gcn_backward``; each model keeps a
+thin adapter for its own parameter layout and checks.
 
 Everything here is pure numpy and deterministic given a Generator.
 """
@@ -50,18 +55,49 @@ def xavier_uniform(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.nd
     return rng.uniform(-bound, bound, size=(fan_in, fan_out))
 
 
-def affine_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
-    w = np.asarray(w, dtype=np.float64)
-    if x.ndim != 2 or w.ndim != 2 or x.shape[1] != w.shape[0]:
-        raise ValueError(f"affine shape mismatch: x {x.shape} w {w.shape}")
-    out = x @ w
-    if b is not None:
-        b = np.asarray(b, dtype=np.float64)
-        if b.shape != (w.shape[1],):
-            raise ValueError(f"bias shape {b.shape} does not match width {w.shape[1]}")
-        out = out + b
-    return out
+def gcn_forward(s, x, weights, biases=None):
+    """Stacked GCN ``H_i = act(S (H_{i-1} W_i) + b_i)``, ReLU between
+    layers and a linear last layer; returns (H_last, cache).
+
+    ``s`` is the symmetric (sparse) propagation matrix. ``x=None`` stands
+    for one-hot input (H_0 = I), so the first product ``x @ W`` is just
+    ``W``. ``biases=None`` means no bias terms.
+    """
+    h = x
+    cache = []
+    last = len(weights) - 1
+    for i, w in enumerate(weights):
+        lin = s @ (w if h is None else h @ w)
+        if biases is not None:
+            lin = lin + biases[i]
+        cache.append((h, lin))
+        h = lin if i == last else relu(lin)
+    return h, cache
+
+
+def gcn_backward(s, weights, cache, d_out):
+    """Gradients of ``gcn_forward`` given d(loss)/d(H_last).
+
+    Returns (weight grads, bias grads), one array per layer each; a
+    caller without biases ignores the second list.
+
+    ``S^T dlin`` is computed as ``S @ dlin``: S is symmetric, and a CSR
+    product adds each output row's terms in the same ascending-column
+    order as the product with its CSC transpose, so the result is
+    bit-identical without building the transpose on every call.
+    """
+    dws, dbs = [None] * len(weights), [None] * len(weights)
+    dh = d_out
+    last = len(weights) - 1
+    for i in reversed(range(len(weights))):
+        h_prev, lin = cache[i]
+        dlin = dh if i == last else dh * (lin > 0)
+        back = s @ dlin
+        dbs[i] = dlin.sum(axis=0)
+        dws[i] = back if h_prev is None else h_prev.T @ back
+        if i > 0:
+            dh = back @ weights[i].T
+    return dws, dbs
 
 
 def softmax_rows(x: np.ndarray) -> np.ndarray:

@@ -1,8 +1,10 @@
 """Victim models and the attack benchmark harness.
 
 Victims are small 2-layer message-passing networks over node features:
-a GCN (symmetric-normalized propagation) and a mean-aggregator (self
-weights + mean-of-neighbors weights per layer). Three tasks:
+a GCN (symmetric-normalized propagation, run by the stacked-GCN pass in
+``numerics`` that the Q-network and the GCN embedding share) and a
+mean-aggregator (self weights + mean-of-neighbors weights per layer,
+with its own pass). Three tasks:
 
   nc   node classification, softmax over classes
   lp   link prediction, sigmoid(z_u . z_v) on node pairs
@@ -27,8 +29,9 @@ import scipy.sparse as sp
 
 from .errors import DataError, TrainingError
 from .graphs import Graph, apply_edits, graph_distance, neighborhood_distortion
-from .numerics import (Adam, neg_log_sigmoid, relu, rng_from_seed, sigmoid,
-                       softmax_rows, stage_seed, xavier_uniform)
+from .numerics import (Adam, gcn_backward, gcn_forward, neg_log_sigmoid, relu,
+                       rng_from_seed, sigmoid, softmax_rows, stage_seed,
+                       xavier_uniform)
 
 TASKS = ("nc", "lp", "pnc")
 KINDS = ("gcn", "mean-aggregator")
@@ -219,14 +222,12 @@ def _init_params(kind: str, feature_dim: int, hidden: int, out_dim: int,
 
 def victim_forward(model_kind: str, params: dict, g: Graph):
     """Returns (output rows, cache) — logits (nc) or node embeddings."""
-    x = g.features
     if model_kind == "gcn":
-        s = g.normalized_adjacency()
-        lin1 = s @ (x @ params["w1"]) + params["b1"]
-        h1 = relu(lin1)
-        out = s @ (h1 @ params["w2"]) + params["b2"]
-        return out, {"lin1": lin1, "h1": h1}
+        return gcn_forward(g.normalized_adjacency(), g.features,
+                           [params["w1"], params["w2"]],
+                           [params["b1"], params["b2"]])
     if model_kind == "mean-aggregator":
+        x = g.features
         m = _row_normalized_adjacency(g)
         mx = m @ x
         lin1 = x @ params["ws1"] + mx @ params["wn1"] + params["b1"]
@@ -239,18 +240,11 @@ def victim_forward(model_kind: str, params: dict, g: Graph):
 
 def _victim_backward(model_kind: str, params: dict, g: Graph, cache,
                      dout: np.ndarray) -> dict[str, np.ndarray]:
-    x = g.features
     if model_kind == "gcn":
-        s = g.normalized_adjacency()
-        back2 = s.T @ dout
-        grads = {"b2": dout.sum(axis=0),
-                 "w2": cache["h1"].T @ back2}
-        dh1 = back2 @ params["w2"].T
-        dlin1 = dh1 * (cache["lin1"] > 0)
-        back1 = s.T @ dlin1
-        grads["b1"] = dlin1.sum(axis=0)
-        grads["w1"] = x.T @ back1
-        return grads
+        (dw1, dw2), (db1, db2) = gcn_backward(
+            g.normalized_adjacency(), [params["w1"], params["w2"]], cache, dout)
+        return {"w1": dw1, "b1": db1, "w2": dw2, "b2": db2}
+    x = g.features
     m = cache["m"]
     grads = {"b2": dout.sum(axis=0),
              "ws2": cache["h1"].T @ dout,

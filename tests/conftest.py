@@ -2,7 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
+from nbrattack.dqn import _action_from_mu, _mu_forward, _state_from_mu
+from nbrattack.errors import DataError
 from nbrattack.graphs import Graph
+from nbrattack.numerics import sigmoid
 
 # Property tests draw the same examples on every run, so two runs of the
 # suite (say, before and after a change) test the same inputs.
@@ -14,6 +17,33 @@ def make_graph(n, edges, feature_dim=2, labels=None, seed=0):
     rng = np.random.default_rng(seed)
     features = rng.normal(size=(n, feature_dim))
     return Graph(n, edges, features, labels)
+
+
+# Q-function reference pieces, one forward per call. They are the oracles
+# for dqn._score_candidates and dqn._fit_batch, which score and fit from
+# one shared forward.
+
+
+def state_repr(qnet, g, t):
+    """Sum of GCN embeddings over the k-hop neighborhood of t in g."""
+    mu, _ = _mu_forward(qnet, g)
+    return _state_from_mu(mu, g, t, qnet.k)
+
+
+def action_repr(qnet, g, v, t, sign):
+    if v == t:
+        raise DataError("action endpoint equals the target")
+    mu, _ = _mu_forward(qnet, g)
+    return _action_from_mu(mu, v, t, sign)
+
+
+def q_forward(qnet, state_vec, action_vec):
+    cat = np.concatenate([state_vec, action_vec])
+    if cat.shape[0] != qnet.w_merge.shape[0]:
+        raise DataError(
+            f"state+action dim {cat.shape[0]} != merge input {qnet.w_merge.shape[0]}")
+    hid = sigmoid(cat @ qnet.w_merge)
+    return float(hid @ qnet.w_out)
 
 
 @pytest.fixture

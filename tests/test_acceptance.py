@@ -22,7 +22,7 @@ from nbrattack.cli import main as cli_main
 from nbrattack.distortion import embedding_distortion, graph_pair_distortion
 from nbrattack.dqn import (AttackEpisodeConfig, QNetParams, ReplayTuple,
                            _fit_batch, infer_attack, inference_timer,
-                           q_forward, state_repr, action_repr, train_dqn)
+                           train_dqn)
 from nbrattack.embed import (EmbeddingTable, GinParams, _gin_backward,
                              _gin_forward_cached, EmbedConfig, WalkConfig,
                              embedding_forward, gin_forward, train_embedding,
@@ -39,6 +39,7 @@ from nbrattack.victims import (SplitSpec, VictimConfig, _init_params,
                                _task_loss, _victim_backward, drop_in_accuracy,
                                evaluate_batch, evaluate_target, make_split,
                                train_victim, victim_forward)
+from tests.conftest import action_repr, q_forward, state_repr
 
 
 def _verdict(name: str, ok: bool, detail: str) -> None:

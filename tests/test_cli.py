@@ -118,10 +118,15 @@ class TestExitCodes:
                    "-o", str(tmp_path)) == 3
 
 
-def test_module_entry_point(tmp_path):
+def _subprocess_env():
+    """The environment with this checkout's package first on PYTHONPATH."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(nbrattack.__file__)))
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return {**os.environ,
+            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
+def test_module_entry_point(tmp_path):
+    env = _subprocess_env()
 
     def module_run(*argv):
         return subprocess.run([sys.executable, "-m", "nbrattack.cli", *argv],
@@ -134,6 +139,15 @@ def test_module_entry_point(tmp_path):
     bad = module_run("gen-sbm", "--set", "bogus=1")
     assert bad.returncode == 2
     assert "unknown config key 'bogus'" in bad.stderr
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    # every stage imports the CLI; scipy.stats would add ~40 MB of RSS and
+    # most of a second to each of them
+    code = "import sys, nbrattack.cli; sys.exit(int('scipy.stats' in sys.modules))"
+    done = subprocess.run([sys.executable, "-c", code], env=_subprocess_env(),
+                          timeout=120)
+    assert done.returncode == 0
 
 
 @pytest.fixture(scope="module")

@@ -3,17 +3,16 @@ import pytest
 
 from nbrattack.dqn import (AttackEpisodeConfig, QNetParams, ReplayTuple,
                            _episode_candidates, _mu_backward, _mu_forward,
-                           _score_candidates, action_repr, epsilon_schedule,
-                           infer_attack, inference_timer, load_attacker,
-                           q_forward, save_attacker, state_repr, step_reward,
-                           train_dqn)
+                           _score_candidates, epsilon_schedule, infer_attack,
+                           inference_timer, load_attacker, save_attacker,
+                           step_reward, train_dqn)
 from nbrattack.distortion import graph_pair_distortion
 from nbrattack.embed import GinParams
 from nbrattack.errors import DataError
 from nbrattack.graphs import (ADD, DELETE, EdgeEdit, apply_edit,
                               candidate_edits, k_hop_neighborhood)
 from nbrattack.numerics import finite_diff_check, rng_from_seed
-from tests.conftest import make_graph
+from tests.conftest import action_repr, make_graph, q_forward, state_repr
 
 
 def small_cfg(**kw):

@@ -12,7 +12,8 @@ from nbrattack.embed import (EmbedConfig, EmbeddingTable, GcnEmbedParams,
                              save_embedding, train_embedding, train_gin,
                              unsup_loss)
 from nbrattack.errors import DataError, SamplingError
-from nbrattack.numerics import neg_log_sigmoid, rng_from_seed, sigmoid
+from nbrattack.numerics import (finite_diff_check, neg_log_sigmoid,
+                                rng_from_seed, sigmoid)
 from tests.conftest import make_graph
 
 
@@ -166,6 +167,31 @@ class TestGcnForward:
         assert embedding_forward(cp, path4).backend == "gcn"
         with pytest.raises(DataError):
             embedding_forward(object(), path4)
+
+
+class TestGcnBackward:
+    @pytest.mark.parametrize("layers", [1, 2, 3])
+    def test_finite_diff_through_unsup_loss(self, layers):
+        # node 7 is isolated and appears in both pair blocks
+        g = make_graph(8, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6),
+                           (1, 4)])
+        model = GcnEmbedParams.init(8, 4, layers, rng_from_seed(3))
+        noise = rng_from_seed(4)  # nonzero biases
+        model = model.with_params({k: v + 0.1 * noise.normal(size=v.shape)
+                                   for k, v in model.param_dict().items()})
+        pos = np.array([[0, 1], [1, 2], [3, 4], [5, 6], [2, 4], [7, 0]])
+        neg = np.array([[0, 7], [2, 6], [1, 5]])
+        values, cache = embed_module._gcn_embed_forward_cached(model, g)
+        _, dz = unsup_loss(EmbeddingTable(values, "gcn"), pos, neg)
+        grads = embed_module._gcn_embed_backward(model, g, cache, dz)
+        base = model.param_dict()
+        assert set(grads) == set(base)
+        for name in base:
+            def loss_fn(arr, name=name):
+                params = {k: (arr if k == name else v) for k, v in base.items()}
+                table = gcn_embed_forward(model.with_params(params), g)
+                return unsup_loss(table, pos, neg)[0]
+            assert finite_diff_check(loss_fn, base[name], grads[name]) < 1e-6, name
 
 
 class TestWalks:

@@ -4,10 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nbrattack.errors import TrainingError
+from nbrattack.graphs import Graph
 from nbrattack.numerics import (Adam, AdamState, adam_update,
-                                finite_diff_check, neg_log_sigmoid,
-                                rng_from_seed, sigmoid, stage_seed,
-                                xavier_uniform)
+                                finite_diff_check, gcn_backward, gcn_forward,
+                                neg_log_sigmoid, rng_from_seed, sigmoid,
+                                stage_seed, xavier_uniform)
 
 
 def adam_oracle(theta, grads, lr=0.01, b1=0.9, b2=0.999, eps=1e-8):
@@ -128,3 +129,45 @@ class TestFiniteDiff:
 
         rel = finite_diff_check(loss, w, 3 * w)
         assert rel > 1e-2
+
+
+class TestGcnKernel:
+    @settings(max_examples=30, deadline=None)
+    @given(depth=st.integers(1, 3), biased=st.booleans(),
+           one_hot=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+    def test_gradients_match_finite_differences(self, depth, biased, one_hot,
+                                                seed):
+        rng = np.random.default_rng(seed)
+        n, feature_dim, hidden = 7, 3, 4
+        # random edges among the first n-1 nodes; node n-1 is isolated
+        edges = [(u, v) for u in range(n - 1) for v in range(u + 1, n - 1)
+                 if rng.random() < 0.4]
+        g = Graph(n, edges, rng.normal(size=(n, feature_dim)))
+        s = g.normalized_adjacency()
+        x = None if one_hot else g.features
+        in_dim = n if one_hot else feature_dim
+        weights = [rng.normal(size=(in_dim if i == 0 else hidden, hidden))
+                   for i in range(depth)]
+        biases = ([rng.normal(size=hidden) for _ in range(depth)]
+                  if biased else None)
+        d_out = rng.normal(size=(n, hidden))
+        out, cache = gcn_forward(s, x, weights, biases)
+        if one_hot:
+            dense, _ = gcn_forward(s, np.eye(n), weights, biases)
+            assert np.allclose(out, dense, atol=1e-12)
+        dws, dbs = gcn_backward(s, weights, cache, d_out)
+
+        def loss(ws, bs):
+            return float(np.sum(gcn_forward(s, x, ws, bs)[0] * d_out))
+
+        def swap(arrs, i, arr):
+            return arrs[:i] + [arr] + arrs[i + 1:]
+
+        for i in range(depth):
+            assert finite_diff_check(
+                lambda w: loss(swap(weights, i, w), biases),
+                weights[i], dws[i]) < 1e-6
+            if biased:
+                assert finite_diff_check(
+                    lambda b: loss(weights, swap(biases, i, b)),
+                    biases[i], dbs[i]) < 1e-6
