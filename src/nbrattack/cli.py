@@ -32,7 +32,7 @@ from .embed import (EmbedConfig, WalkConfig, embedding_forward,
 from .errors import (DataError, NoCandidatesError, SamplingError,
                      SizeCapError, TrainingError)
 from .graphs import (Graph, apply_edit, apply_edits, candidate_edits,
-                     graph_distance, k_hop_neighborhood,
+                     flip_edit, graph_distance, k_hop_neighborhood,
                      largest_connected_component, neighborhood_distortion)
 from .numerics import stage_seed
 from .oracles import (brute_force_max_distortion, degree_attack,
@@ -403,15 +403,13 @@ def cmd_analyze(cfg: RunConfig, args) -> None:
                      rng.choice(g.node_count, size=take, replace=False))
     per_target = []
     for t in targets:
-        cands = candidate_edits(g, t)
         nodes, dists = [], []
         extra = {f"{m}_diff": [] for m in
                  ("edge_expansion", "conductance", "volume", "normalized_cut")
                  } if cfg.analyze_community else {}
         n_orig = k_hop_neighborhood(g, t, cfg.k_hops)
-        for e in cands:
-            v = e.v if e.u == t else e.u
-            g_pert = apply_edit(g, e)
+        for v in candidate_edits(g, t).tolist():
+            g_pert = apply_edit(g, flip_edit(g, t, v))
             z_pert = embedding_forward(model, g_pert)
             n_pert = k_hop_neighborhood(g_pert, t, cfg.k_hops)
             score = embedding_distortion(z_pert, t, n_orig, n_pert).value

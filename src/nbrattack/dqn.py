@@ -5,8 +5,9 @@ upstream) recomputes embeddings of each intermediate graph to provide
 the reward signal, while a small GCN over node features — trained
 end-to-end here, without biases, on the stacked-GCN pass that the GCN
 victim and the GCN embedding backend share (``numerics.gcn_forward``) —
-feeds the Q-function. The Q-function scores an edit
-(v, t, sign) against the current state:
+feeds the Q-function. The actions are the flips (t, v) of every other
+endpoint v, one int64 array whose signs the current graph fixes, and the
+Q-function scores each as a row of one product against the current state:
 
     state   mu_s = sum of GCN embeddings over N^k(t) in the edited graph
     action  mu_a = sign * concat(mu_v, mu_t)
@@ -31,7 +32,7 @@ from . import io as fileio
 from .distortion import graph_pair_distortion
 from .errors import DataError, TrainingError
 from .graphs import (ADD, EdgeEdit, Graph, apply_edit, apply_edits,
-                     candidate_edits, k_hop_neighborhood)
+                     candidate_edits, flip_edit, k_hop_neighborhood)
 from .numerics import (Adam, gcn_backward, gcn_forward, rng_from_seed, sigmoid,
                        xavier_uniform)
 
@@ -140,17 +141,18 @@ def _action_from_mu(mu: np.ndarray, v: int, t: int, sign: str) -> np.ndarray:
 
 
 def _score_candidates(qnet: QNetParams, mu: np.ndarray, g: Graph, t: int,
-                      cands: list[EdgeEdit]) -> np.ndarray:
-    """Q-values of all candidate edits on one graph in one product."""
+                      others: np.ndarray) -> np.ndarray:
+    """Q-values of flipping (t, v) for each v in `others`, in one product;
+    the sign is -1 where g has the edge (a delete) and +1 otherwise."""
     h = mu.shape[1]
     mu_s = _state_from_mu(mu, g, t, qnet.k)
-    rows = np.empty((len(cands), 3 * h))
+    is_nbr = np.zeros(g.node_count, dtype=bool)
+    is_nbr[list(g.neighbors(t))] = True
+    sgn = np.where(is_nbr[others], -1.0, 1.0)[:, None]
+    rows = np.empty((len(others), 3 * h))
     rows[:, :h] = mu_s
-    for i, e in enumerate(cands):
-        v = e.v if e.u == t else e.u
-        sgn = 1.0 if e.sign == ADD else -1.0
-        rows[i, h:2 * h] = sgn * mu[v]
-        rows[i, 2 * h:] = sgn * mu[t]
+    rows[:, h:2 * h] = sgn * mu[others]
+    rows[:, 2 * h:] = sgn * mu[t]
     return sigmoid(rows @ qnet.w_merge) @ qnet.w_out
 
 
@@ -164,10 +166,11 @@ def step_reward(embed_model, t: int, g_i: Graph, g_next: Graph, k: int = 2
 
 
 def _episode_candidates(g_cur: Graph, t: int, edited: set[int],
-                        accessible) -> list[EdgeEdit]:
-    cands = candidate_edits(g_cur, t, accessible)
-    kept = [e for e in cands if (e.v if e.u == t else e.u) not in edited]
-    return kept
+                        accessible) -> np.ndarray:
+    others = candidate_edits(g_cur, t, accessible)
+    fresh = np.ones(g_cur.node_count, dtype=bool)
+    fresh[list(edited)] = False
+    return others[fresh[others]]
 
 
 class _MuCache:
@@ -224,18 +227,19 @@ def train_dqn(g: Graph, embed_model, cfg: AttackEpisodeConfig, seed: int,
         for step_i in range(cfg.steps_per_episode):
             global_step += 1
             cands = _episode_candidates(g_cur, t, edited, accessible)
-            if not cands:
+            if cands.size == 0:
                 break
             if rng.random() < epsilon_schedule(global_step):
-                edit = cands[rng.integers(len(cands))]
+                other = cands[rng.integers(len(cands))]
             else:
                 mu, _ = _mu_forward(qnet, g_cur)
                 scores = _score_candidates(qnet, mu, g_cur, t, cands)
-                edit = cands[int(np.argmax(scores))]
+                other = cands[int(np.argmax(scores))]
+            edit = flip_edit(g_cur, t, other)
             g_next = apply_edit(g_cur, edit)
             rewards.append(step_reward(embed_model, t, g_cur, g_next, cfg.k))
             edits.append(edit)
-            edited.add(edit.v if edit.u == t else edit.u)
+            edited.add(int(other))
             g_cur = g_next
             if len(edits) >= cfg.n_step:
                 root = len(edits) - cfg.n_step
@@ -268,7 +272,7 @@ def _fit_batch(qnet: QNetParams, g: Graph, batch: list[ReplayTuple],
         entry = cache.get(tup.next_edits)
         edited = {e.v if e.u == tup.target else e.u for e in tup.next_edits}
         cands = _episode_candidates(entry["graph"], tup.target, edited, accessible)
-        if cands:
+        if cands.size:
             scores = _score_candidates(qnet, entry["mu"], entry["graph"],
                                        tup.target, cands)
             boot = float(np.max(scores))
@@ -280,7 +284,8 @@ def _fit_batch(qnet: QNetParams, g: Graph, batch: list[ReplayTuple],
     for idx, (tup, y) in enumerate(zip(batch, ys)):
         entry = cache.get(tup.state_edits)
         mu, graph = entry["mu"], entry["graph"]
-        mu_s = _state_from_mu(mu, graph, tup.target, qnet.k)
+        hood = sorted(k_hop_neighborhood(graph, tup.target, qnet.k))
+        mu_s = mu[hood].sum(axis=0)
         v = tup.action.v if tup.action.u == tup.target else tup.action.u
         mu_a = _action_from_mu(mu, v, tup.target, tup.action.sign)
         cat = np.concatenate([mu_s, mu_a])
@@ -299,7 +304,6 @@ def _fit_batch(qnet: QNetParams, g: Graph, batch: list[ReplayTuple],
         sgn = 1.0 if tup.action.sign == ADD else -1.0
         if entry["dmu"] is None:
             entry["dmu"] = np.zeros_like(mu)
-        hood = sorted(k_hop_neighborhood(graph, tup.target, qnet.k))
         entry["dmu"][hood] += dmu_s
         entry["dmu"][v] += sgn * dmu_a[:h]
         entry["dmu"][tup.target] += sgn * dmu_a[h:]
@@ -331,10 +335,10 @@ def infer_attack(qnet: QNetParams, g: Graph, t: int, budget: int,
     chosen: list[EdgeEdit] = []
     cur = g
     for _ in range(budget):
-        cands = candidate_edits(cur, t, accessible)
+        others = candidate_edits(cur, t, accessible)
         mu, _ = _mu_forward(qnet, cur)
-        scores = _score_candidates(qnet, mu, cur, t, cands)
-        edit = cands[int(np.argmax(scores))]
+        scores = _score_candidates(qnet, mu, cur, t, others)
+        edit = flip_edit(cur, t, others[int(np.argmax(scores))])
         chosen.append(edit)
         cur = apply_edit(cur, edit)
     return chosen

@@ -349,24 +349,28 @@ def largest_connected_component(g: Graph) -> tuple[Graph, dict[int, int]]:
     return sub, mapping
 
 
-def candidate_edits(g: Graph, target: int, accessible=None) -> list[EdgeEdit]:
-    """All single edge flips incident on `target`, sorted by the other
-    endpoint's id. `accessible` restricts the set of other endpoints."""
+def candidate_edits(g: Graph, target: int, accessible=None) -> np.ndarray:
+    """Other endpoints of all single edge flips incident on `target`: an
+    int64 array in ascending order, without the target. `accessible`
+    restricts the pool; ``flip_edit`` gives a candidate's signed edit."""
     if not (0 <= target < g.node_count):
         raise DataError(f"target {target} out of range")
     if accessible is None:
-        pool = range(g.node_count)
+        pool = np.arange(g.node_count, dtype=np.int64)
     else:
         pool = sorted(set(int(x) for x in accessible))
         for x in pool:
             if not (0 <= x < g.node_count):
                 raise DataError(f"accessible node {x} out of range")
-    out = []
-    for other in pool:
-        if other == target:
-            continue
-        sign = DELETE if g.has_edge(target, other) else ADD
-        out.append(EdgeEdit(min(target, other), max(target, other), sign))
-    if not out:
+        pool = np.array(pool, dtype=np.int64)
+    others = pool[pool != target]
+    if others.size == 0:
         raise NoCandidatesError(f"no admissible edits for target {target}")
-    return out
+    return others
+
+
+def flip_edit(g: Graph, t: int, other) -> EdgeEdit:
+    """DELETE (t, other) if g has that edge, else ADD it. Endpoints become
+    Python ints, as edit lists are written with plain ``json.dump``."""
+    t, other = int(t), int(other)
+    return EdgeEdit(t, other, DELETE if g.has_edge(t, other) else ADD)

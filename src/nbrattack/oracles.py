@@ -21,8 +21,8 @@ from . import io as fileio
 from .distortion import embedding_distortion
 from .embed import embedding_forward
 from .errors import DataError, NoCandidatesError, SizeCapError
-from .graphs import (EdgeEdit, Graph, apply_edit, candidate_edits,
-                     k_hop_neighborhood, neighborhood_distortion)
+from .graphs import (EdgeEdit, Graph, apply_edit, apply_edits, candidate_edits,
+                     flip_edit, k_hop_neighborhood, neighborhood_distortion)
 from .numerics import rng_from_seed
 
 BRUTE_FORCE_CAP = 10 ** 6
@@ -98,7 +98,7 @@ def brute_force_max_distortion(g: Graph, t: int, budget: int, k: int = 2,
     """
     if budget < 0:
         raise DataError(f"negative budget {budget}")
-    cands = candidate_edits(g, t, accessible)
+    cands = [flip_edit(g, t, v) for v in candidate_edits(g, t, accessible)]
     m = len(cands)
     total = sum(comb(m, size) for size in range(min(budget, m) + 1))
     if total > cap:
@@ -108,10 +108,7 @@ def brute_force_max_distortion(g: Graph, t: int, budget: int, k: int = 2,
     best_value = 0.0
     for size in range(min(budget, m) + 1):
         for combo in itertools.combinations(cands, size):
-            pert = g
-            for e in combo:
-                pert = apply_edit(pert, e)
-            value = neighborhood_distortion(g, pert, t, k)
+            value = neighborhood_distortion(g, apply_edits(g, combo), t, k)
             if value > best_value:
                 best_value = value
                 best_edits = combo
@@ -148,10 +145,10 @@ def greedy_attack(g: Graph, t: int, budget: int, k: int = 2,
     chosen: list[EdgeEdit] = []
     cur = g
     for _ in range(budget):
-        cands = candidate_edits(cur, t, accessible)  # raises if none
         best_edit = None
         best_value = -np.inf
-        for e in cands:
+        for v in candidate_edits(cur, t, accessible):  # raises if none
+            e = flip_edit(cur, t, v)
             nxt = apply_edit(cur, e)
             if objective == "graph":
                 value = neighborhood_distortion(g, nxt, t, k)
@@ -179,7 +176,7 @@ def random_attack(g: Graph, t: int, budget: int, seed,
             f"budget {budget} exceeds {len(cands)} candidates; truncating")
         budget = len(cands)
     idx = rng.choice(len(cands), size=budget, replace=False)
-    return [cands[i] for i in idx]
+    return [flip_edit(g, t, v) for v in cands[idx]]
 
 
 def degree_attack(g: Graph, t: int, budget: int, accessible=None
@@ -192,7 +189,5 @@ def degree_attack(g: Graph, t: int, budget: int, accessible=None
         warnings.warn(
             f"budget {budget} exceeds {len(cands)} candidates; truncating")
         budget = len(cands)
-    def other(e: EdgeEdit) -> int:
-        return e.v if e.u == t else e.u
-    ranked = sorted(cands, key=lambda e: (-g.degree(other(e)), other(e)))
-    return ranked[:budget]
+    ranked = sorted(cands.tolist(), key=lambda v: (-g.degree(v), v))
+    return [flip_edit(g, t, v) for v in ranked[:budget]]

@@ -244,16 +244,14 @@ def _victim_backward(model_kind: str, params: dict, g: Graph, cache,
         (dw1, dw2), (db1, db2) = gcn_backward(
             g.normalized_adjacency(), [params["w1"], params["w2"]], cache, dout)
         return {"w1": dw1, "b1": db1, "w2": dw2, "b2": db2}
-    x = g.features
-    m = cache["m"]
     grads = {"b2": dout.sum(axis=0),
              "ws2": cache["h1"].T @ dout,
              "wn2": cache["mh"].T @ dout}
-    dh1 = dout @ params["ws2"].T + m.T @ (dout @ params["wn2"].T)
+    dh1 = dout @ params["ws2"].T + cache["m"].T @ (dout @ params["wn2"].T)
     dlin1 = dh1 * (cache["lin1"] > 0)
     grads["b1"] = dlin1.sum(axis=0)
-    grads["ws1"] = x.T @ dlin1
-    grads["wn1"] = (m @ x).T @ dlin1
+    grads["ws1"] = g.features.T @ dlin1
+    grads["wn1"] = cache["mx"].T @ dlin1
     return grads
 
 

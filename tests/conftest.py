@@ -4,7 +4,7 @@ from hypothesis import settings
 
 from nbrattack.dqn import _action_from_mu, _mu_forward, _state_from_mu
 from nbrattack.errors import DataError
-from nbrattack.graphs import Graph
+from nbrattack.graphs import ADD, Graph
 from nbrattack.numerics import sigmoid
 
 # Property tests draw the same examples on every run, so two runs of the
@@ -35,6 +35,22 @@ def action_repr(qnet, g, v, t, sign):
         raise DataError("action endpoint equals the target")
     mu, _ = _mu_forward(qnet, g)
     return _action_from_mu(mu, v, t, sign)
+
+
+def score_candidates_loop(qnet, mu, g, t, cands):
+    """Q-values of a list of EdgeEdit candidates, one row filled per edit:
+    the oracle for dqn._score_candidates, which fills the rows from an
+    endpoint array with array ops."""
+    h = mu.shape[1]
+    mu_s = _state_from_mu(mu, g, t, qnet.k)
+    rows = np.empty((len(cands), 3 * h))
+    rows[:, :h] = mu_s
+    for i, e in enumerate(cands):
+        v = e.v if e.u == t else e.u
+        sgn = 1.0 if e.sign == ADD else -1.0
+        rows[i, h:2 * h] = sgn * mu[v]
+        rows[i, 2 * h:] = sgn * mu[t]
+    return sigmoid(rows @ qnet.w_merge) @ qnet.w_out
 
 
 def q_forward(qnet, state_vec, action_vec):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from nbrattack.dqn import (AttackEpisodeConfig, QNetParams, ReplayTuple,
                            _episode_candidates, _mu_backward, _mu_forward,
@@ -10,9 +12,11 @@ from nbrattack.distortion import graph_pair_distortion
 from nbrattack.embed import GinParams
 from nbrattack.errors import DataError
 from nbrattack.graphs import (ADD, DELETE, EdgeEdit, apply_edit,
-                              candidate_edits, k_hop_neighborhood)
+                              candidate_edits, flip_edit, k_hop_neighborhood)
 from nbrattack.numerics import finite_diff_check, rng_from_seed
-from tests.conftest import action_repr, make_graph, q_forward, state_repr
+from nbrattack.sbm import generate_sbm
+from tests.conftest import (action_repr, make_graph, q_forward,
+                            score_candidates_loop, state_repr)
 
 
 def small_cfg(**kw):
@@ -133,20 +137,56 @@ class TestRepresentations:
                                rng_from_seed(5))
         t = 2
         mu, _ = _mu_forward(qnet, small_sbm)
-        cands = candidate_edits(small_sbm, t)
-        scores = _score_candidates(qnet, mu, small_sbm, t, cands)
+        others = candidate_edits(small_sbm, t)
+        scores = _score_candidates(qnet, mu, small_sbm, t, others)
         s_vec = state_repr(qnet, small_sbm, t)
-        for e, got in zip(cands, scores):
-            other = e.v if e.u == t else e.u
+        for other, got in zip(others.tolist(), scores):
+            e = flip_edit(small_sbm, t, other)
             a_vec = action_repr(qnet, small_sbm, other, t, e.sign)
             assert got == pytest.approx(q_forward(qnet, s_vec, a_vec), abs=1e-12)
+
+
+    @given(st.data())
+    def test_score_candidates_equals_row_loop(self, data):
+        n = data.draw(st.integers(2, 12))
+        all_pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        g = make_graph(n, data.draw(st.lists(st.sampled_from(all_pairs),
+                                             unique=True)), feature_dim=3,
+                       seed=data.draw(st.integers(0, 9)))
+        for pair in data.draw(st.lists(st.sampled_from(all_pairs), max_size=6)):
+            g = apply_edit(g, flip_edit(g, *pair))
+        t = data.draw(st.integers(0, n - 1))
+        others = candidate_edits(g, t)
+        edited = data.draw(st.sets(st.sampled_from(others.tolist())))
+        others = _episode_candidates(g, t, edited, None)
+        if others.size == 0:
+            return
+        qnet = QNetParams.init(3, small_cfg(k=data.draw(st.integers(0, 3))),
+                               rng_from_seed(data.draw(st.integers(0, 9))))
+        mu, _ = _mu_forward(qnet, g)
+        want = score_candidates_loop(qnet, mu, g, t,
+                                     [flip_edit(g, t, v) for v in others])
+        assert np.array_equal(_score_candidates(qnet, mu, g, t, others), want)
+
+    def test_score_candidates_equals_row_loop_on_readme_sbm(self):
+        g = generate_sbm([50, 50], 0.3, 0.02, seed=7, feature_noise=0.5)
+        qnet = QNetParams.init(g.feature_dim, small_cfg(hidden_dim=16,
+                                                        mlp_hidden=16),
+                               rng_from_seed(3))
+        mu, _ = _mu_forward(qnet, g)
+        for t in (0, 77):
+            others = candidate_edits(g, t)
+            want = score_candidates_loop(qnet, mu, g, t,
+                                         [flip_edit(g, t, v) for v in others])
+            assert np.array_equal(_score_candidates(qnet, mu, g, t, others),
+                                  want)
 
 
 class TestReward:
     def test_matches_pair_distortion(self, small_sbm):
         model = GinParams.init(small_sbm.node_count, 4, 2, rng_from_seed(6))
         t = 1
-        e = candidate_edits(small_sbm, t)[0]
+        e = flip_edit(small_sbm, t, candidate_edits(small_sbm, t)[0])
         g2 = apply_edit(small_sbm, e)
         got = step_reward(model, t, small_sbm, g2, k=2)
         want = graph_pair_distortion(model, small_sbm, g2, t, 2).value
@@ -155,7 +195,8 @@ class TestReward:
 
 class TestEpisodeCandidates:
     def test_excludes_edited_endpoints(self, path4):
-        kept = _episode_candidates(path4, 0, {1, 3}, None)
+        kept = [flip_edit(path4, 0, v)
+                for v in _episode_candidates(path4, 0, {1, 3}, None)]
         others = {e.v if e.u == 0 else e.u for e in kept}
         assert others == {2}
 
@@ -242,7 +283,7 @@ class TestInference:
                           w_out=np.ones(1), k=2)
         mu, _ = _mu_forward(qnet, g)
         t = 0
-        cands = candidate_edits(g, t)
+        cands = [flip_edit(g, t, v) for v in candidate_edits(g, t)]
         cands.sort(key=lambda e: ((e.v if e.u == t else e.u), e.sign))
         signed = []
         for e in cands:

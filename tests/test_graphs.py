@@ -9,11 +9,34 @@ from hypothesis import strategies as st
 
 from nbrattack.errors import DataError, NoCandidatesError
 from nbrattack.graphs import (ADD, DELETE, EdgeEdit, Graph, apply_edit,
-                              apply_edits, candidate_edits,
+                              apply_edits, candidate_edits, flip_edit,
                               connected_components, graph_distance,
                               k_hop_neighborhood, largest_connected_component,
                               neighborhood_distortion)
 from tests.conftest import make_graph
+
+
+def candidate_edits_oracle(g, target, accessible=None):
+    """Reference: the signed EdgeEdit of every flip incident on `target`,
+    built one object per other endpoint in ascending order."""
+    if not (0 <= target < g.node_count):
+        raise DataError(f"target {target} out of range")
+    if accessible is None:
+        pool = range(g.node_count)
+    else:
+        pool = sorted(set(int(x) for x in accessible))
+        for x in pool:
+            if not (0 <= x < g.node_count):
+                raise DataError(f"accessible node {x} out of range")
+    out = []
+    for other in pool:
+        if other == target:
+            continue
+        sign = DELETE if g.has_edge(target, other) else ADD
+        out.append(EdgeEdit(min(target, other), max(target, other), sign))
+    if not out:
+        raise NoCandidatesError(f"no admissible edits for target {target}")
+    return out
 
 
 def khop_oracle(g, v, k):
@@ -220,7 +243,7 @@ class TestNeighborhoodDistortion:
             edges = [(i, j) for i in range(n) for j in range(i + 1, n)
                      if rng.random() < 0.25]
             ga = make_graph(n, edges, seed=trial)
-            e = candidate_edits(ga, 0)[int(rng.integers(n - 1))]
+            e = flip_edit(ga, 0, candidate_edits(ga, 0)[int(rng.integers(n - 1))])
             gb = apply_edit(ga, e)
             v = int(rng.integers(n))
             d1 = neighborhood_distortion(ga, gb, v, 2)
@@ -256,7 +279,7 @@ class TestComponents:
 
 class TestCandidateEdits:
     def test_all_flips_except_self(self, path4):
-        cands = candidate_edits(path4, 0)
+        cands = [flip_edit(path4, 0, v) for v in candidate_edits(path4, 0)]
         assert len(cands) == 3
         signs = {(e.u, e.v): e.sign for e in cands}
         assert signs[(0, 1)] == DELETE
@@ -264,11 +287,13 @@ class TestCandidateEdits:
         assert signs[(0, 3)] == ADD
 
     def test_sorted_by_other_endpoint(self, path4):
-        others = [e.v if e.u == 2 else e.u for e in candidate_edits(path4, 2)]
+        edits = [flip_edit(path4, 2, v) for v in candidate_edits(path4, 2)]
+        others = [e.v if e.u == 2 else e.u for e in edits]
         assert others == sorted(others)
 
     def test_accessible_restriction(self, path4):
-        cands = candidate_edits(path4, 0, accessible=[2, 3])
+        cands = [flip_edit(path4, 0, v)
+                 for v in candidate_edits(path4, 0, accessible=[2, 3])]
         assert {(e.u, e.v) for e in cands} == {(0, 2), (0, 3)}
 
     def test_empty_pool_raises(self, path4):
@@ -276,9 +301,51 @@ class TestCandidateEdits:
             candidate_edits(path4, 0, accessible=[0])
 
     def test_apply_edits_sequence(self, path4):
-        edits = candidate_edits(path4, 0, accessible=[2, 3])
+        edits = [flip_edit(path4, 0, v)
+                 for v in candidate_edits(path4, 0, accessible=[2, 3])]
         g2 = apply_edits(path4, edits)
         assert graph_distance(path4, g2) == 2
+
+    @settings(max_examples=300)
+    @given(st.data())
+    def test_flip_edits_match_object_oracle(self, data):
+        # root and derived graphs, isolated targets, out-of-range targets,
+        # and accessible pools that are unsorted, repeat nodes, hold the
+        # target, hold out-of-range nodes or leave no candidate
+        n = data.draw(st.integers(1, 10))
+        all_pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        g = make_graph(n, data.draw(st.lists(st.sampled_from(all_pairs),
+                                             unique=True)) if all_pairs else [])
+        if all_pairs:
+            for pair in data.draw(st.lists(st.sampled_from(all_pairs),
+                                           max_size=8)):
+                g = apply_edit(g, flip_edit(g, *pair))
+        t = data.draw(st.integers(-1, n))
+        if 0 <= t < n and data.draw(st.booleans()):
+            for v in sorted(g.neighbors(t)):
+                g = apply_edit(g, EdgeEdit(t, v, DELETE))
+        accessible = data.draw(
+            st.none()
+            | st.lists(st.integers(0, n - 1), max_size=12)
+            | st.lists(st.integers(-2, n + 1), max_size=12))
+        if accessible is not None and data.draw(st.booleans()):
+            accessible = np.array(accessible, dtype=np.int64)
+
+        def outcome(build):
+            try:
+                return build()
+            except (DataError, NoCandidatesError) as exc:
+                return type(exc)
+
+        want = outcome(lambda: candidate_edits_oracle(g, t, accessible))
+        others = outcome(lambda: candidate_edits(g, t, accessible))
+        if isinstance(want, type):
+            assert others is want
+            return
+        assert others.dtype == np.int64 and len(others) == len(want)
+        got = [flip_edit(g, t, v) for v in others]
+        assert got == want
+        assert all(type(e.u) is int and type(e.v) is int for e in got)
 
 
 class TestSparseViews:

@@ -6,7 +6,7 @@ import pytest
 from nbrattack.embed import GinParams, embedding_forward
 from nbrattack.errors import DataError, SizeCapError
 from nbrattack.graphs import (ADD, DELETE, EdgeEdit, apply_edit,
-                              candidate_edits, k_hop_neighborhood)
+                              candidate_edits, flip_edit, k_hop_neighborhood)
 from nbrattack.numerics import rng_from_seed
 from nbrattack.oracles import (SetCoverInstance, brute_force_max_distortion,
                                degree_attack, greedy_attack, has_cover,
@@ -107,7 +107,7 @@ class TestReductionGraph:
         for _ in range(40):
             inst = random_instance(rng, max_n=4, max_m=4)
             g, t, accessible, b = reduction_graph(inst)
-            cands = candidate_edits(g, t, accessible)
+            cands = [flip_edit(g, t, v) for v in candidate_edits(g, t, accessible)]
             assert all(e.sign == ADD for e in cands)
             best = 0
             for size in range(min(b, len(cands)) + 1):
@@ -136,7 +136,7 @@ class TestBruteForce:
             budget = 2
             got_edits, got_val = brute_force_max_distortion(g, t, budget, k=2)
             # independent sweep with reference distortion
-            cands = candidate_edits(g, t)
+            cands = [flip_edit(g, t, v) for v in candidate_edits(g, t)]
             best = 0.0
             for size in range(budget + 1):
                 for combo in itertools.combinations(cands, size):
@@ -189,7 +189,7 @@ class TestGreedy:
             cur = g
             want = []
             for _ in range(3):
-                cands = candidate_edits(cur, t)
+                cands = [flip_edit(cur, t, v) for v in candidate_edits(cur, t)]
                 vals = []
                 for e in cands:
                     pert = apply_edit(cur, e)
@@ -207,7 +207,7 @@ class TestGreedy:
         cur = small_sbm
         want = []
         for _ in range(2):
-            cands = candidate_edits(cur, t)
+            cands = [flip_edit(cur, t, v) for v in candidate_edits(cur, t)]
             best_e, best_v = None, -np.inf
             for e in cands:
                 pert = apply_edit(cur, e)
@@ -263,7 +263,7 @@ class TestBaselines:
         e2 = random_attack(small_sbm, 0, 4, seed=9)
         assert e1 == e2
         assert len(set(e1)) == 4
-        valid = set(candidate_edits(small_sbm, 0))
+        valid = {flip_edit(small_sbm, 0, v) for v in candidate_edits(small_sbm, 0)}
         assert set(e1) <= valid
 
     def test_random_truncates_with_warning(self, path4):

@@ -3,7 +3,7 @@ import pytest
 import scipy.sparse as sp
 
 from nbrattack.errors import DataError
-from nbrattack.graphs import Graph, candidate_edits
+from nbrattack.graphs import Graph, candidate_edits, flip_edit
 from nbrattack.numerics import finite_diff_check, rng_from_seed, softmax_rows
 from nbrattack.sbm import generate_sbm
 from nbrattack.victims import (SplitSpec, VictimBundle, VictimConfig,
@@ -244,7 +244,7 @@ class TestDropInAccuracy:
 class TestBenchmark:
     def _attackers(self):
         def first_candidate(g, t, budget, seed):
-            return candidate_edits(g, t)[:budget]
+            return [flip_edit(g, t, v) for v in candidate_edits(g, t)[:budget]]
 
         def no_op(g, t, budget, seed):
             return []
@@ -304,7 +304,8 @@ class TestBenchmark:
 
     def test_budget_violation_caught(self, bench_graph, trained):
         def cheater(g, t, budget, seed):
-            return candidate_edits(g, t)[:budget + 1]
+            return [flip_edit(g, t, v)
+                    for v in candidate_edits(g, t)[:budget + 1]]
 
         with pytest.raises(DataError):
             run_benchmark(bench_graph, {"cheat": cheater}, [trained],
