@@ -40,12 +40,11 @@ def feature_similarity(g: Graph, t: int, v: int) -> float:
 
 def local_clustering(g: Graph, v: int) -> float:
     """Fraction of possible links among v's neighbors that exist."""
-    nbrs = sorted(g.neighbors(v))
+    nbrs = g.neighbors(v)
     d = len(nbrs)
     if d < 2:
         return 0.0
-    links = sum(1 for i in range(d) for j in range(i + 1, d)
-                if g.has_edge(nbrs[i], nbrs[j]))
+    links = int(g._neighbor_counts(nbrs)[nbrs].sum()) // 2  # each seen twice
     return 2.0 * links / (d * (d - 1))
 
 
@@ -71,9 +70,8 @@ def reverse_knn_ranks(g: Graph, embeddings: EmbeddingTable | None = None,
             counts[nearest] += 1
     else:
         for u in range(n):
-            hood = k_hop_neighborhood(g, u, 2) - {u}
-            for v in hood:
-                counts[v] += 1
+            counts[k_hop_neighborhood(g, u, 2)] += 1
+        counts -= 1  # no node counts itself
     return _average_ranks(-counts)
 
 
@@ -96,28 +94,21 @@ def node_property(g: Graph, t: int, v: int, which: str,
 # -- community metrics ----------------------------------------------------------------
 
 
-def _cut_and_internal(g: Graph, s: frozenset) -> tuple[int, int]:
-    cut = 0
-    internal = 0
-    for u in s:
-        for v in g.neighbors(u):
-            if v in s:
-                internal += 1
-            else:
-                cut += 1
-    return cut, internal // 2
+def _cut_and_internal(g: Graph, s: np.ndarray) -> tuple[int, int]:
+    hits = g._neighbor_counts(s)
+    inside = int(hits[s].sum())
+    return int(hits.sum()) - inside, inside // 2
 
 
 def community_metric(g: Graph, s, which: str, corrected_ncs: bool = False
                      ) -> float:
-    s = frozenset(int(x) for x in s)
-    if not s:
+    s = np.unique(np.fromiter((int(x) for x in s), dtype=np.int64))
+    if not s.size:
         raise DataError("community must be non-empty")
     if len(s) >= g.node_count:
         raise DataError("community must be a proper subset of the nodes")
-    for x in s:
-        if not (0 <= x < g.node_count):
-            raise DataError(f"community node {x} out of range")
+    if s[0] < 0 or s[-1] >= g.node_count:
+        raise DataError(f"community node {s[0] if s[0] < 0 else s[-1]} out of range")
     c, m = _cut_and_internal(g, s)
     vol = 2 * m + c
     if which == "edge_expansion":

@@ -25,14 +25,17 @@ class DistortionScore:
 
 
 def mean_l2_to_set(table: EmbeddingTable, t: int, node_set) -> float:
-    """Mean L2 distance from t's embedding to the embeddings of node_set.
+    """Mean L2 distance from t's embedding to the embeddings of node_set,
+    a neighborhood array or any iterable of node ids, summed in its order.
 
     t itself is excluded (it is always inside its own neighborhood and
     would only dilute the mean with zeros). Empty set -> 0.0.
     """
     if not (0 <= t < table.node_count):
         raise DataError(f"node {t} out of range for table of {table.node_count}")
-    others = np.array([v for v in node_set if v != t], dtype=np.int64)
+    if not isinstance(node_set, np.ndarray):  # np.asarray(a set) is 0-d
+        node_set = np.fromiter(node_set, dtype=np.int64)
+    others = node_set[node_set != t]
     if others.size == 0:
         return 0.0
     if others.min() < 0 or others.max() >= table.node_count:

@@ -130,24 +130,20 @@ def _mu_backward(qnet: QNetParams, g: Graph, cache, dmu: np.ndarray
     return {f"gcn.{i}": dw for i, dw in enumerate(dws)}
 
 
-def _state_from_mu(mu: np.ndarray, g: Graph, t: int, k: int) -> np.ndarray:
-    hood = sorted(k_hop_neighborhood(g, t, k))
-    return mu[hood].sum(axis=0)
-
-
 def _action_from_mu(mu: np.ndarray, v: int, t: int, sign: str) -> np.ndarray:
     vec = np.concatenate([mu[v], mu[t]])
     return vec if sign == ADD else -vec
 
 
 def _score_candidates(qnet: QNetParams, mu: np.ndarray, g: Graph, t: int,
-                      others: np.ndarray) -> np.ndarray:
+                      hood: np.ndarray, others: np.ndarray) -> np.ndarray:
     """Q-values of flipping (t, v) for each v in `others`, in one product;
-    the sign is -1 where g has the edge (a delete) and +1 otherwise."""
+    the state sums mu over `hood`, t's k-hop neighborhood in g, and the
+    sign is -1 where g has the edge (a delete) and +1 otherwise."""
     h = mu.shape[1]
-    mu_s = _state_from_mu(mu, g, t, qnet.k)
+    mu_s = mu[hood].sum(axis=0)
     is_nbr = np.zeros(g.node_count, dtype=bool)
-    is_nbr[list(g.neighbors(t))] = True
+    is_nbr[g.neighbors(t)] = True
     sgn = np.where(is_nbr[others], -1.0, 1.0)[:, None]
     rows = np.empty((len(others), 3 * h))
     rows[:, :h] = mu_s
@@ -174,7 +170,8 @@ def _episode_candidates(g_cur: Graph, t: int, edited: set[int],
 
 
 class _MuCache:
-    """Per-fit cache of GCN forwards keyed by the canonical edit set."""
+    """Per-fit cache of GCN forwards keyed by the canonical edit set; each
+    entry keeps k-hop neighborhoods by target, as targets share edit sets."""
 
     def __init__(self, qnet: QNetParams, g: Graph):
         self.qnet = qnet
@@ -187,8 +184,13 @@ class _MuCache:
             graph = apply_edits(self.g, edits)
             mu, cache = _mu_forward(self.qnet, graph)
             self.entries[key] = {"graph": graph, "mu": mu, "cache": cache,
-                                 "dmu": None}
+                                 "dmu": None, "hoods": {}}
         return self.entries[key]
+
+    def hood(self, entry: dict, t: int) -> np.ndarray:
+        if t not in entry["hoods"]:
+            entry["hoods"][t] = k_hop_neighborhood(entry["graph"], t, self.qnet.k)
+        return entry["hoods"][t]
 
 
 def train_dqn(g: Graph, embed_model, cfg: AttackEpisodeConfig, seed: int,
@@ -233,7 +235,8 @@ def train_dqn(g: Graph, embed_model, cfg: AttackEpisodeConfig, seed: int,
                 other = cands[rng.integers(len(cands))]
             else:
                 mu, _ = _mu_forward(qnet, g_cur)
-                scores = _score_candidates(qnet, mu, g_cur, t, cands)
+                hood = k_hop_neighborhood(g_cur, t, qnet.k)
+                scores = _score_candidates(qnet, mu, g_cur, t, hood, cands)
                 other = cands[int(np.argmax(scores))]
             edit = flip_edit(g_cur, t, other)
             g_next = apply_edit(g_cur, edit)
@@ -274,7 +277,8 @@ def _fit_batch(qnet: QNetParams, g: Graph, batch: list[ReplayTuple],
         cands = _episode_candidates(entry["graph"], tup.target, edited, accessible)
         if cands.size:
             scores = _score_candidates(qnet, entry["mu"], entry["graph"],
-                                       tup.target, cands)
+                                       tup.target, cache.hood(entry, tup.target),
+                                       cands)
             boot = float(np.max(scores))
         else:
             boot = 0.0
@@ -283,8 +287,8 @@ def _fit_batch(qnet: QNetParams, g: Graph, batch: list[ReplayTuple],
     losses = np.empty(len(batch))
     for idx, (tup, y) in enumerate(zip(batch, ys)):
         entry = cache.get(tup.state_edits)
-        mu, graph = entry["mu"], entry["graph"]
-        hood = sorted(k_hop_neighborhood(graph, tup.target, qnet.k))
+        mu = entry["mu"]
+        hood = cache.hood(entry, tup.target)
         mu_s = mu[hood].sum(axis=0)
         v = tup.action.v if tup.action.u == tup.target else tup.action.u
         mu_a = _action_from_mu(mu, v, tup.target, tup.action.sign)
@@ -337,7 +341,8 @@ def infer_attack(qnet: QNetParams, g: Graph, t: int, budget: int,
     for _ in range(budget):
         others = candidate_edits(cur, t, accessible)
         mu, _ = _mu_forward(qnet, cur)
-        scores = _score_candidates(qnet, mu, cur, t, others)
+        hood = k_hop_neighborhood(cur, t, qnet.k)
+        scores = _score_candidates(qnet, mu, cur, t, hood, others)
         edit = flip_edit(cur, t, others[int(np.argmax(scores))])
         chosen.append(edit)
         cur = apply_edit(cur, edit)

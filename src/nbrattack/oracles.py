@@ -21,8 +21,9 @@ from . import io as fileio
 from .distortion import embedding_distortion
 from .embed import embedding_forward
 from .errors import DataError, NoCandidatesError, SizeCapError
-from .graphs import (EdgeEdit, Graph, apply_edit, apply_edits, candidate_edits,
-                     flip_edit, k_hop_neighborhood, neighborhood_distortion)
+from .graphs import (EdgeEdit, Graph, _jaccard_distance, apply_edit,
+                     apply_edits, candidate_edits, flip_edit,
+                     k_hop_neighborhood)
 from .numerics import rng_from_seed
 
 BRUTE_FORCE_CAP = 10 ** 6
@@ -106,9 +107,11 @@ def brute_force_max_distortion(g: Graph, t: int, budget: int, k: int = 2,
             f"{total} edit subsets exceed the cap of {cap}; shrink the instance")
     best_edits: tuple[EdgeEdit, ...] = ()
     best_value = 0.0
+    n_start = k_hop_neighborhood(g, t, k)
     for size in range(min(budget, m) + 1):
         for combo in itertools.combinations(cands, size):
-            value = neighborhood_distortion(g, apply_edits(g, combo), t, k)
+            value = _jaccard_distance(
+                n_start, k_hop_neighborhood(apply_edits(g, combo), t, k))
             if value > best_value:
                 best_value = value
                 best_edits = combo
@@ -151,7 +154,7 @@ def greedy_attack(g: Graph, t: int, budget: int, k: int = 2,
             e = flip_edit(cur, t, v)
             nxt = apply_edit(cur, e)
             if objective == "graph":
-                value = neighborhood_distortion(g, nxt, t, k)
+                value = _jaccard_distance(n_start, k_hop_neighborhood(nxt, t, k))
             else:
                 table = source(nxt)
                 n_next = k_hop_neighborhood(nxt, t, k)

@@ -31,7 +31,7 @@ def generate_sbm(block_sizes, p_in: float, p_out: float, seed: int,
     iu, ju = np.triu_indices(n, k=1)
     probs = np.where(labels[iu] == labels[ju], p_in, p_out)
     keep = rng.random(len(iu)) < probs
-    edges = list(zip(iu[keep].tolist(), ju[keep].tolist()))
+    edges = np.column_stack([iu[keep], ju[keep]])
     features = np.zeros((n, len(sizes)))
     features[np.arange(n), labels] = 1.0
     flips = rng.random(n) < feature_noise

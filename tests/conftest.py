@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from nbrattack.dqn import _action_from_mu, _mu_forward, _state_from_mu
+from nbrattack.dqn import _action_from_mu, _mu_forward
 from nbrattack.errors import DataError
-from nbrattack.graphs import ADD, Graph
+from nbrattack.graphs import ADD, Graph, k_hop_neighborhood
 from nbrattack.numerics import sigmoid
 
 # Property tests draw the same examples on every run, so two runs of the
@@ -24,10 +24,15 @@ def make_graph(n, edges, feature_dim=2, labels=None, seed=0):
 # one shared forward.
 
 
+def state_from_mu(mu, g, t, k):
+    """mu summed over the k-hop neighborhood of t in g, row by sorted id."""
+    return mu[sorted(k_hop_neighborhood(g, t, k).tolist())].sum(axis=0)
+
+
 def state_repr(qnet, g, t):
     """Sum of GCN embeddings over the k-hop neighborhood of t in g."""
     mu, _ = _mu_forward(qnet, g)
-    return _state_from_mu(mu, g, t, qnet.k)
+    return state_from_mu(mu, g, t, qnet.k)
 
 
 def action_repr(qnet, g, v, t, sign):
@@ -42,7 +47,7 @@ def score_candidates_loop(qnet, mu, g, t, cands):
     the oracle for dqn._score_candidates, which fills the rows from an
     endpoint array with array ops."""
     h = mu.shape[1]
-    mu_s = _state_from_mu(mu, g, t, qnet.k)
+    mu_s = state_from_mu(mu, g, t, qnet.k)
     rows = np.empty((len(cands), 3 * h))
     rows[:, :h] = mu_s
     for i, e in enumerate(cands):

@@ -62,7 +62,7 @@ class TestReverseKnn:
         ranks = reverse_knn_ranks(triangle_plus)
         counts = np.zeros(triangle_plus.node_count)
         for u in range(triangle_plus.node_count):
-            for v in k_hop_neighborhood(triangle_plus, u, 2) - {u}:
+            for v in set(k_hop_neighborhood(triangle_plus, u, 2).tolist()) - {u}:
                 counts[v] += 1
         # rank 1 = most-contained node; recompute ranks from raw counts
         want = _average_ranks(-counts)

@@ -143,11 +143,13 @@ def test_module_entry_point(tmp_path):
 
 def test_cli_import_leaves_scipy_stats_unloaded():
     # every stage imports the CLI; scipy.stats would add ~40 MB of RSS and
-    # most of a second to each of them
-    code = "import sys, nbrattack.cli; sys.exit(int('scipy.stats' in sys.modules))"
+    # most of a second to each of them, scipy.sparse.csgraph ~8 MB
+    code = ("import sys, nbrattack.cli; print(*[m for m in ('scipy.stats', "
+            "'scipy.sparse.csgraph') if m in sys.modules])")
     done = subprocess.run([sys.executable, "-c", code], env=_subprocess_env(),
-                          timeout=120)
-    assert done.returncode == 0
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == []
 
 
 @pytest.fixture(scope="module")

@@ -138,7 +138,8 @@ class TestRepresentations:
         t = 2
         mu, _ = _mu_forward(qnet, small_sbm)
         others = candidate_edits(small_sbm, t)
-        scores = _score_candidates(qnet, mu, small_sbm, t, others)
+        hood = k_hop_neighborhood(small_sbm, t, qnet.k)
+        scores = _score_candidates(qnet, mu, small_sbm, t, hood, others)
         s_vec = state_repr(qnet, small_sbm, t)
         for other, got in zip(others.tolist(), scores):
             e = flip_edit(small_sbm, t, other)
@@ -166,7 +167,9 @@ class TestRepresentations:
         mu, _ = _mu_forward(qnet, g)
         want = score_candidates_loop(qnet, mu, g, t,
                                      [flip_edit(g, t, v) for v in others])
-        assert np.array_equal(_score_candidates(qnet, mu, g, t, others), want)
+        hood = k_hop_neighborhood(g, t, qnet.k)
+        assert np.array_equal(_score_candidates(qnet, mu, g, t, hood, others),
+                              want)
 
     def test_score_candidates_equals_row_loop_on_readme_sbm(self):
         g = generate_sbm([50, 50], 0.3, 0.02, seed=7, feature_noise=0.5)
@@ -178,7 +181,8 @@ class TestRepresentations:
             others = candidate_edits(g, t)
             want = score_candidates_loop(qnet, mu, g, t,
                                          [flip_edit(g, t, v) for v in others])
-            assert np.array_equal(_score_candidates(qnet, mu, g, t, others),
+            hood = k_hop_neighborhood(g, t, qnet.k)
+            assert np.array_equal(_score_candidates(qnet, mu, g, t, hood, others),
                                   want)
 
 

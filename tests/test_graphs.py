@@ -83,6 +83,22 @@ class TestGraphConstruction:
         with pytest.raises(DataError):
             make_graph(3, [(0, 3)])
 
+    def test_non_integer_endpoint_rejected(self):
+        with pytest.raises(DataError, match="integers"):
+            make_graph(3, [(0.5, 1)])
+
+    @pytest.mark.parametrize("edges", [[(0, 1, 2)], [(0, 1), (1, 2, 0)], [0, 1],
+                                       np.zeros((2, 3), dtype=np.int64)])
+    def test_non_pair_rows_rejected(self, edges):
+        with pytest.raises(DataError, match="pairs"):
+            make_graph(3, edges)
+
+    @pytest.mark.parametrize("edges", [
+        ((u, u + 1) for u in range(3)), [(0, 1), (1, 2), (2, 3)],
+        np.array([[1, 0], [2, 1], [3, 2]])])
+    def test_edge_inputs_build_one_csr(self, path4, edges):
+        assert_same_csr(make_graph(4, edges).adjacency(), path4.adjacency())
+
     def test_feature_row_mismatch(self):
         with pytest.raises(DataError):
             Graph(3, [], np.zeros((2, 4)))
@@ -111,15 +127,16 @@ class TestGraphConstruction:
 
 class TestKHop:
     def test_path_graph(self, path4):
-        assert k_hop_neighborhood(path4, 0, 1) == {0, 1}
-        assert k_hop_neighborhood(path4, 0, 2) == {0, 1, 2}
-        assert k_hop_neighborhood(path4, 0, 3) == {0, 1, 2, 3}
+        assert k_hop_neighborhood(path4, 0, 1).tolist() == [0, 1]
+        assert k_hop_neighborhood(path4, 0, 2).tolist() == [0, 1, 2]
+        assert k_hop_neighborhood(path4, 0, 3).tolist() == [0, 1, 2, 3]
+        assert k_hop_neighborhood(path4, 2, 1).tolist() == [1, 2, 3]
 
     def test_k_zero_is_self(self, triangle_plus):
-        assert k_hop_neighborhood(triangle_plus, 2, 0) == {2}
+        assert k_hop_neighborhood(triangle_plus, 2, 0).tolist() == [2]
 
     def test_isolated_node(self, triangle_plus):
-        assert k_hop_neighborhood(triangle_plus, 4, 5) == {4}
+        assert k_hop_neighborhood(triangle_plus, 4, 5).tolist() == [4]
 
     def test_matches_matrix_power_oracle(self):
         rng = np.random.default_rng(0)
@@ -130,7 +147,9 @@ class TestKHop:
             g = make_graph(n, edges, seed=trial)
             v = int(rng.integers(n))
             for k in range(4):
-                assert k_hop_neighborhood(g, v, k) == khop_oracle(g, v, k)
+                got = k_hop_neighborhood(g, v, k)
+                assert got.dtype == np.int64
+                assert got.tolist() == sorted(khop_oracle(g, v, k))
 
     def test_bad_args(self, path4):
         with pytest.raises(DataError):
@@ -215,7 +234,7 @@ class TestGraphDistance:
         for pair in data.draw(st.lists(st.sampled_from(all_pairs), max_size=10)):
             sign = DELETE if g.has_edge(*pair) else ADD
             g = apply_edit(g, EdgeEdit(*pair, sign))
-        want = len(base.edge_set() ^ g.edge_set())
+        want = len(set(base.edges()) ^ set(g.edges()))
         assert graph_distance(base, g) == want
         assert graph_distance(g, base) == want
 
@@ -356,8 +375,8 @@ class TestSparseViews:
     def test_splice_matches_scratch_build(self, data):
         n = data.draw(st.integers(2, 12))
         all_pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-        g = make_graph(n, data.draw(st.lists(st.sampled_from(all_pairs),
-                                             unique=True)))
+        want = set(data.draw(st.lists(st.sampled_from(all_pairs), unique=True)))
+        g = make_graph(n, sorted(want))
         if data.draw(st.booleans()):
             g.adjacency()
         steps = data.draw(st.lists(
@@ -365,11 +384,12 @@ class TestSparseViews:
             max_size=15))
         for pair, twice, build in steps:
             for _ in range(1 + twice):  # a second flip of a pair undoes the first
-                sign = DELETE if g.has_edge(*pair) else ADD
+                sign = DELETE if pair in want else ADD
                 g = apply_edit(g, EdgeEdit(*pair, sign))
+                want ^= {pair}
             if build:
                 g.adjacency()
-        scratch = Graph(n, list(g.edges()), g.features)
+        scratch = Graph(n, sorted(want), g.features)
         got = g.adjacency()
         assert_same_csr(got, scratch.adjacency())
         for r in range(n):
@@ -399,5 +419,59 @@ class TestSparseViews:
             refs.append(weakref.ref(g))
         gc.collect()
         assert all(r() is None for r in refs[:-1])
-        assert_same_csr(g.adjacency(),
-                        Graph(n, list(g.edges()), g.features).adjacency())
+        star = [(0, v) for v in range(1, 51)]
+        assert_same_csr(g.adjacency(), Graph(n, star, g.features).adjacency())
+
+
+def assert_matches_edge_set(g, edges):
+    """Every structural query of g against a pure-Python edge-set oracle."""
+    n = g.node_count
+    nbrs = [set() for _ in range(n)]
+    for u, v in edges:
+        nbrs[u].add(v)
+        nbrs[v].add(u)
+    assert g.edge_count == len(edges)
+    assert list(g.edges()) == sorted(edges)
+    for u in range(n):
+        row = g.neighbors(u)
+        assert row.dtype == np.int64 and not row.flags.writeable
+        assert row.tolist() == sorted(nbrs[u])
+        assert g.degree(u) == len(nbrs[u])
+        assert [g.has_edge(u, v) for v in range(n)] == [v in nbrs[u]
+                                                        for v in range(n)]
+        hood = frontier = {u}
+        for k in range(4):
+            got = k_hop_neighborhood(g, u, k)
+            assert got.dtype == np.int64 and got.tolist() == sorted(hood)
+            frontier = set().union(*(nbrs[x] for x in frontier)) - hood
+            hood = hood | frontier
+
+
+class TestOverlay:
+    """A derived graph answers queries through its base's CSR and its flips,
+    whether or not it, its parent or its base has spliced."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_queries_match_edge_set_oracle(self, data):
+        n = data.draw(st.integers(2, 9))
+        all_pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        edges = set(data.draw(st.lists(st.sampled_from(all_pairs), unique=True)))
+        g = make_graph(n, sorted(edges))
+        chain = [(g, edges)]
+        steps = data.draw(st.lists(st.tuples(st.sampled_from(all_pairs),
+                                             st.sampled_from(range(-1, 12))),
+                                   max_size=12))
+        for pair, build in steps:
+            g = apply_edit(g, EdgeEdit(*pair, DELETE if pair in edges else ADD))
+            edges = edges ^ {pair}
+            chain.append((g, edges))
+            if 0 <= build < len(chain):  # splice some graph of the chain
+                chain[build][0].adjacency()
+        for g, edges in chain:
+            assert_matches_edge_set(g, edges)
+        for ga, ea in chain:  # splices every graph of the chain
+            for gb, eb in chain:
+                assert graph_distance(ga, gb) == len(ea ^ eb)
+        for g, edges in chain:
+            assert_matches_edge_set(g, edges)
