@@ -35,8 +35,8 @@ from .graphs import (Graph, apply_edit, apply_edits, candidate_edits,
                      flip_edit, graph_distance, k_hop_neighborhood,
                      largest_connected_component, neighborhood_distortion)
 from .numerics import stage_seed
-from .oracles import (brute_force_max_distortion, degree_attack,
-                      greedy_attack, random_attack)
+from .oracles import (BRUTE_FORCE_CAP, brute_force_max_distortion,
+                      degree_attack, greedy_attack, random_attack)
 from .sbm import generate_sbm
 from .victims import (AttackReport, SplitSpec, VictimBundle, VictimConfig,
                       make_split, run_benchmark, train_victim)
@@ -106,7 +106,7 @@ class RunConfig:
     # oracle comparison
     oracle_budget: int = 2
     oracle_targets: int = 3
-    brute_cap: int = 1000000
+    brute_cap: int = BRUTE_FORCE_CAP
     include_brute: bool = True
     greedy_objective: str = "embedding"
     # analysis

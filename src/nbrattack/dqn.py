@@ -17,8 +17,11 @@ Training runs L episodes of T edits with epsilon-greedy exploration
 (epsilon = max(0.05, 0.9^j) on the global step count j), an n-step
 replay buffer and squared-loss fitted Q-iteration; the bootstrap target
 y = sum of the n intermediate rewards + gamma * max_e Q(S_{i+n}, e)
-uses the current parameters (no frozen target copy). Inference needs
-only B forward passes and never touches the reward model.
+uses the current parameters (no frozen target copy). The replay keeps
+the graphs each episode built, with the target's k-hop neighborhood in
+each, since neither depends on the parameters: a fit derives no graph
+and only runs the Q-net GCN forward and backward. Inference needs only
+B forward passes and never touches the reward model.
 """
 from __future__ import annotations
 
@@ -31,8 +34,8 @@ import numpy as np
 from . import io as fileio
 from .distortion import graph_pair_distortion
 from .errors import DataError, TrainingError
-from .graphs import (ADD, EdgeEdit, Graph, apply_edit, apply_edits,
-                     candidate_edits, flip_edit, k_hop_neighborhood)
+from .graphs import (ADD, EdgeEdit, Graph, apply_edit, candidate_edits,
+                     flip_edit, k_hop_neighborhood)
 from .numerics import (Adam, gcn_backward, gcn_forward, rng_from_seed, sigmoid,
                        xavier_uniform)
 
@@ -102,11 +105,20 @@ class QNetParams:
 
 @dataclass(frozen=True)
 class ReplayTuple:
+    """One n-step transition. Besides its edits it holds the episode's
+    graphs before and after them, each with the target's k-hop
+    neighborhood in it; tuples of one episode share these graphs, which
+    live as long as the tuples that hold them."""
+
     target: int
     state_edits: tuple[EdgeEdit, ...]
     action: EdgeEdit
     n_step_reward: float
     next_edits: tuple[EdgeEdit, ...]
+    state_graph: Graph
+    state_hood: np.ndarray
+    next_graph: Graph
+    next_hood: np.ndarray
 
 
 def epsilon_schedule(step: int) -> float:
@@ -170,27 +182,21 @@ def _episode_candidates(g_cur: Graph, t: int, edited: set[int],
 
 
 class _MuCache:
-    """Per-fit cache of GCN forwards keyed by the canonical edit set; each
-    entry keeps k-hop neighborhoods by target, as targets share edit sets."""
+    """Per-fit cache of GCN forwards keyed by the canonical edit set, so
+    that replay graphs with one edit set share one forward and one
+    backward even when episodes built them as different objects."""
 
-    def __init__(self, qnet: QNetParams, g: Graph):
+    def __init__(self, qnet: QNetParams):
         self.qnet = qnet
-        self.g = g
         self.entries: dict[tuple, dict] = {}
 
-    def get(self, edits: tuple[EdgeEdit, ...]) -> dict:
+    def get(self, edits: tuple[EdgeEdit, ...], graph: Graph) -> dict:
         key = tuple(sorted((e.u, e.v, e.sign) for e in edits))
         if key not in self.entries:
-            graph = apply_edits(self.g, edits)
             mu, cache = _mu_forward(self.qnet, graph)
             self.entries[key] = {"graph": graph, "mu": mu, "cache": cache,
-                                 "dmu": None, "hoods": {}}
+                                 "dmu": None}
         return self.entries[key]
-
-    def hood(self, entry: dict, t: int) -> np.ndarray:
-        if t not in entry["hoods"]:
-            entry["hoods"][t] = k_hop_neighborhood(entry["graph"], t, self.qnet.k)
-        return entry["hoods"][t]
 
 
 def train_dqn(g: Graph, embed_model, cfg: AttackEpisodeConfig, seed: int,
@@ -225,9 +231,11 @@ def train_dqn(g: Graph, embed_model, cfg: AttackEpisodeConfig, seed: int,
         edits: list[EdgeEdit] = []
         edited: set[int] = set()
         rewards: list[float] = []
-        g_cur = g
+        # the episode's graphs, each with t's k-hop neighborhood in it
+        chain = [(g, k_hop_neighborhood(g, t, qnet.k))]
         for step_i in range(cfg.steps_per_episode):
             global_step += 1
+            g_cur, hood = chain[-1]
             cands = _episode_candidates(g_cur, t, edited, accessible)
             if cands.size == 0:
                 break
@@ -235,15 +243,14 @@ def train_dqn(g: Graph, embed_model, cfg: AttackEpisodeConfig, seed: int,
                 other = cands[rng.integers(len(cands))]
             else:
                 mu, _ = _mu_forward(qnet, g_cur)
-                hood = k_hop_neighborhood(g_cur, t, qnet.k)
                 scores = _score_candidates(qnet, mu, g_cur, t, hood, cands)
                 other = cands[int(np.argmax(scores))]
             edit = flip_edit(g_cur, t, other)
             g_next = apply_edit(g_cur, edit)
+            chain.append((g_next, k_hop_neighborhood(g_next, t, qnet.k)))
             rewards.append(step_reward(embed_model, t, g_cur, g_next, cfg.k))
             edits.append(edit)
             edited.add(int(other))
-            g_cur = g_next
             if len(edits) >= cfg.n_step:
                 root = len(edits) - cfg.n_step
                 replay.append(ReplayTuple(
@@ -252,33 +259,37 @@ def train_dqn(g: Graph, embed_model, cfg: AttackEpisodeConfig, seed: int,
                     action=edits[root],
                     n_step_reward=float(sum(rewards[root:])),
                     next_edits=tuple(edits),
+                    state_graph=chain[root][0],
+                    state_hood=chain[root][1],
+                    next_graph=g_next,
+                    next_hood=chain[-1][1],
                 ))
             if len(replay) >= cfg.batch_size and global_step % cfg.fit_every == 0:
                 batch_idx = rng.choice(len(replay), size=cfg.batch_size,
                                        replace=False)
-                qnet = _fit_batch(qnet, g, [replay[i] for i in batch_idx],
+                qnet = _fit_batch(qnet, [replay[i] for i in batch_idx],
                                   cfg, opt, accessible)
         episode_rewards.append(float(sum(rewards)))
     return qnet, episode_rewards
 
 
-def _fit_batch(qnet: QNetParams, g: Graph, batch: list[ReplayTuple],
+def _fit_batch(qnet: QNetParams, batch: list[ReplayTuple],
                cfg: AttackEpisodeConfig, opt: Adam, accessible
                ) -> QNetParams:
-    cache = _MuCache(qnet, g)
+    cache = _MuCache(qnet)
     h = qnet.hidden_dim
     grads = {name: np.zeros_like(p) for name, p in qnet.param_dict().items()}
 
     # bootstrap targets first (treated as constants)
     ys = []
     for tup in batch:
-        entry = cache.get(tup.next_edits)
+        entry = cache.get(tup.next_edits, tup.next_graph)
         edited = {e.v if e.u == tup.target else e.u for e in tup.next_edits}
-        cands = _episode_candidates(entry["graph"], tup.target, edited, accessible)
+        cands = _episode_candidates(tup.next_graph, tup.target, edited,
+                                    accessible)
         if cands.size:
-            scores = _score_candidates(qnet, entry["mu"], entry["graph"],
-                                       tup.target, cache.hood(entry, tup.target),
-                                       cands)
+            scores = _score_candidates(qnet, entry["mu"], tup.next_graph,
+                                       tup.target, tup.next_hood, cands)
             boot = float(np.max(scores))
         else:
             boot = 0.0
@@ -286,9 +297,9 @@ def _fit_batch(qnet: QNetParams, g: Graph, batch: list[ReplayTuple],
 
     losses = np.empty(len(batch))
     for idx, (tup, y) in enumerate(zip(batch, ys)):
-        entry = cache.get(tup.state_edits)
+        entry = cache.get(tup.state_edits, tup.state_graph)
         mu = entry["mu"]
-        hood = cache.hood(entry, tup.target)
+        hood = tup.state_hood
         mu_s = mu[hood].sum(axis=0)
         v = tup.action.v if tup.action.u == tup.target else tup.action.u
         mu_a = _action_from_mu(mu, v, tup.target, tup.action.sign)

@@ -284,11 +284,16 @@ def apply_edits(g: Graph, edits) -> Graph:
 
 
 def graph_distance(a: Graph, b: Graph) -> int:
-    """Number of edges present in exactly one of the two graphs: one
+    """Number of edges present in exactly one of the two graphs: the net
+    flip count when one graph is the other's overlay base, else one
     comparison of their CSR adjacencies."""
     if a.node_count != b.node_count:
         raise DataError(
             f"node count mismatch: {a.node_count} vs {b.node_count}")
+    if b._base is a:
+        return len(b._flips)
+    if a._base is b:
+        return len(a._flips)
     return (a.adjacency() != b.adjacency()).nnz // 2
 
 

@@ -26,7 +26,7 @@ from .graphs import (EdgeEdit, Graph, _jaccard_distance, apply_edit,
                      k_hop_neighborhood)
 from .numerics import rng_from_seed
 
-BRUTE_FORCE_CAP = 10 ** 6
+BRUTE_FORCE_CAP = 10 ** 5
 
 
 @dataclass(frozen=True)
@@ -99,12 +99,13 @@ def brute_force_max_distortion(g: Graph, t: int, budget: int, k: int = 2,
     """
     if budget < 0:
         raise DataError(f"negative budget {budget}")
-    cands = [flip_edit(g, t, v) for v in candidate_edits(g, t, accessible)]
-    m = len(cands)
+    others = candidate_edits(g, t, accessible)
+    m = len(others)
     total = sum(comb(m, size) for size in range(min(budget, m) + 1))
     if total > cap:
         raise SizeCapError(
             f"{total} edit subsets exceed the cap of {cap}; shrink the instance")
+    cands = [flip_edit(g, t, v) for v in others]
     best_edits: tuple[EdgeEdit, ...] = ()
     best_value = 0.0
     n_start = k_hop_neighborhood(g, t, k)

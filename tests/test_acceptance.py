@@ -282,21 +282,27 @@ def _check_qnet_grads() -> float:
     qnet = QNetParams.init(2, cfg, rng)
     accessible = [1, 2]
     shut = (EdgeEdit(0, 1, ADD), EdgeEdit(0, 2, ADD))  # exhausts candidates
+
+    def replay_tuple(state_edits, action, reward):
+        # a replay tuple holds its state and next graphs with t's hoods
+        g_s, g_n = apply_edits(g, state_edits), apply_edits(g, shut)
+        return ReplayTuple(target=0, state_edits=state_edits, action=action,
+                           n_step_reward=reward, next_edits=shut,
+                           state_graph=g_s,
+                           state_hood=k_hop_neighborhood(g_s, 0, cfg.k),
+                           next_graph=g_n,
+                           next_hood=k_hop_neighborhood(g_n, 0, cfg.k))
+
     batch = [
-        ReplayTuple(target=0, state_edits=(), action=EdgeEdit(0, 1, ADD),
-                    n_step_reward=0.37, next_edits=shut),
-        ReplayTuple(target=0, state_edits=(EdgeEdit(0, 1, ADD),),
-                    action=EdgeEdit(0, 2, ADD), n_step_reward=-0.12,
-                    next_edits=shut),
-        ReplayTuple(target=0, state_edits=(EdgeEdit(0, 2, ADD),),
-                    action=EdgeEdit(0, 2, DELETE), n_step_reward=0.05,
-                    next_edits=shut),
+        replay_tuple((), EdgeEdit(0, 1, ADD), 0.37),
+        replay_tuple((EdgeEdit(0, 1, ADD),), EdgeEdit(0, 2, ADD), -0.12),
+        replay_tuple((EdgeEdit(0, 2, ADD),), EdgeEdit(0, 2, DELETE), 0.05),
     ]
     # with every accessible endpoint already edited the bootstrap term is
     # zero, so the regression targets are the rewards themselves
     ys = [tup.n_step_reward for tup in batch]
     spy = _GradSpy()
-    _fit_batch(qnet, g, batch, cfg, spy, accessible)
+    _fit_batch(qnet, batch, cfg, spy, accessible)
     base = qnet.param_dict()
 
     def batch_loss(params):

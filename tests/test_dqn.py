@@ -3,6 +3,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from nbrattack import dqn as dqn_mod
+from nbrattack import graphs as graphs_mod
 from nbrattack.dqn import (AttackEpisodeConfig, QNetParams, ReplayTuple,
                            _episode_candidates, _mu_backward, _mu_forward,
                            _score_candidates, epsilon_schedule, infer_attack,
@@ -11,7 +13,7 @@ from nbrattack.dqn import (AttackEpisodeConfig, QNetParams, ReplayTuple,
 from nbrattack.distortion import graph_pair_distortion
 from nbrattack.embed import GinParams
 from nbrattack.errors import DataError
-from nbrattack.graphs import (ADD, DELETE, EdgeEdit, apply_edit,
+from nbrattack.graphs import (ADD, DELETE, EdgeEdit, Graph, apply_edit,
                               candidate_edits, flip_edit, k_hop_neighborhood)
 from nbrattack.numerics import finite_diff_check, rng_from_seed
 from nbrattack.sbm import generate_sbm
@@ -244,6 +246,35 @@ class TestTraining:
                              target_nodes=[0])
         assert r_tri == again
 
+    def test_fits_derive_no_graphs(self, small_sbm, monkeypatch):
+        # fits read the graphs and hoods the episodes kept in the replay:
+        # no fit derives a graph, and each graph builds its normalized
+        # adjacency once, so builds stay within the env steps plus the base
+        def refuse(*args, **kwargs):
+            raise AssertionError("apply_edits called during training")
+
+        monkeypatch.setattr(graphs_mod, "apply_edits", refuse)
+        monkeypatch.setattr(dqn_mod, "apply_edits", refuse, raising=False)
+        steps, builds = [0], [0]
+
+        def counting_apply_edit(g, edit):
+            steps[0] += 1
+            return apply_edit(g, edit)
+
+        build = Graph.normalized_adjacency
+
+        def counting_build(self):
+            builds[0] += self._norm_adj_csr is None
+            return build(self)
+
+        monkeypatch.setattr(dqn_mod, "apply_edit", counting_apply_edit)
+        monkeypatch.setattr(Graph, "normalized_adjacency", counting_build)
+        model = GinParams.init(small_sbm.node_count, 4, 2, rng_from_seed(7))
+        cfg = small_cfg(episodes=4, steps_per_episode=5, batch_size=4)
+        train_dqn(small_sbm, model, cfg, seed=2)
+        assert steps[0] == cfg.episodes * cfg.steps_per_episode
+        assert 0 < builds[0] <= steps[0] + 1
+
     def test_target_nodes_validated(self, triangle_plus):
         model = GinParams.init(triangle_plus.node_count, 4, 2, rng_from_seed(7))
         with pytest.raises(DataError):
@@ -329,7 +360,11 @@ class TestPersistence:
         with pytest.raises(DataError):
             load_attacker(tmp_path / "x.bin")
 
-    def test_replay_tuple_frozen(self):
-        rt = ReplayTuple(0, (), EdgeEdit(0, 1, ADD), 0.5, ())
+    def test_replay_tuple_frozen(self, path4):
+        g_next = apply_edit(path4, EdgeEdit(0, 2, ADD))
+        rt = ReplayTuple(0, (), EdgeEdit(0, 2, ADD), 0.5,
+                         (EdgeEdit(0, 2, ADD),), path4,
+                         k_hop_neighborhood(path4, 0, 2), g_next,
+                         k_hop_neighborhood(g_next, 0, 2))
         with pytest.raises(AttributeError):
             rt.target = 3

@@ -217,6 +217,22 @@ class TestGraphDistance:
         assert (dab == 0) == (set(ga.edges()) == set(gb.edges()))
         assert dab <= graph_distance(ga, gc) + graph_distance(gc, gb)
 
+    def test_flip_back_is_zero(self, path4):
+        # a pair flipped and flipped back nets no flip, spliced or not
+        g1 = apply_edit(path4, EdgeEdit(0, 2, ADD))
+        g2 = apply_edit(g1, EdgeEdit(0, 2, DELETE))
+        assert graph_distance(path4, g2) == 0
+        assert graph_distance(g2, path4) == 0
+        g1.adjacency()
+        g3 = apply_edit(g1, EdgeEdit(0, 2, DELETE))
+        assert graph_distance(path4, g3) == 0
+        assert graph_distance(g1, g3) == 1
+
+    def test_derived_distance_reads_flips_without_splicing(self, path4):
+        g = apply_edits(path4, [EdgeEdit(0, 2, ADD), EdgeEdit(1, 2, DELETE)])
+        assert graph_distance(path4, g) == 2
+        assert g._adj_csr is None
+
     def test_counts_symmetric_difference(self):
         ga = make_graph(4, [(0, 1), (1, 2)])
         gb = make_graph(4, [(1, 2), (2, 3), (0, 3)])

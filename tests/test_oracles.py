@@ -173,6 +173,19 @@ class TestBruteForce:
         with pytest.raises(DataError):
             brute_force_max_distortion(path4, 0, -1)
 
+    def test_default_cap_refuses_1k_nodes_at_budget_2(self, monkeypatch):
+        # 1 + 999 + C(999, 2) subsets per target: refused before any is tried
+        import nbrattack.oracles as oracles_mod
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a subset was evaluated")
+
+        monkeypatch.setattr(oracles_mod, "apply_edits", refuse)
+        monkeypatch.setattr(oracles_mod, "flip_edit", refuse)
+        g = make_graph(1000, [(i, i + 1) for i in range(999)])
+        with pytest.raises(SizeCapError, match="499501"):
+            brute_force_max_distortion(g, 0, 2, k=2)
+
 
 class TestGreedy:
     def test_graph_objective_matches_stepwise_oracle(self):
