@@ -152,25 +152,6 @@ class CorrelationResult:
     method: str = "t-approx"
 
 
-@dataclass
-class PropertyRanking:
-    """A property evaluated over candidate nodes, ranked descending."""
-
-    name: str
-    nodes: list[int]
-    values: list[float]
-    ranks: np.ndarray  # average-tied, 1 = largest value
-
-    @classmethod
-    def build(cls, name: str, nodes, values) -> "PropertyRanking":
-        nodes = [int(v) for v in nodes]
-        values = [float(x) for x in values]
-        if len(nodes) != len(values):
-            raise DataError("nodes/values length mismatch")
-        return cls(name=name, nodes=nodes, values=values,
-                   ranks=_average_ranks([-x for x in values]))
-
-
 def _average_ranks(vals) -> np.ndarray:
     """1-based ranks in ascending order of value; ties share the mean rank."""
     vals = np.asarray(vals, dtype=np.float64)

@@ -23,7 +23,7 @@ import numpy as np
 from . import io as fileio
 from .analysis import (NODE_PROPERTIES, TargetCandidates, correlation_study,
                        community_metric, embedding_community)
-from .distortion import embedding_distortion
+from .distortion import graph_pair_distortion, single_flip_distortions
 from .dqn import (AttackEpisodeConfig, infer_attack, load_attacker,
                   save_attacker, train_dqn)
 from .embed import (EmbedConfig, WalkConfig, embedding_forward,
@@ -31,8 +31,7 @@ from .embed import (EmbedConfig, WalkConfig, embedding_forward,
                     train_embedding)
 from .errors import (DataError, NoCandidatesError, SamplingError,
                      SizeCapError, TrainingError)
-from .graphs import (Graph, apply_edit, apply_edits, candidate_edits,
-                     flip_edit, graph_distance, k_hop_neighborhood,
+from .graphs import (Graph, apply_edits, graph_distance, k_hop_neighborhood,
                      largest_connected_component, neighborhood_distortion)
 from .numerics import stage_seed
 from .oracles import (BRUTE_FORCE_CAP, brute_force_max_distortion,
@@ -267,10 +266,10 @@ def _write_csv(path: str, header: list[str], rows) -> None:
                               for x in row) + "\n")
 
 
-def _load_attackers(cfg: RunConfig, g: Graph):
-    """Build name -> fn(g, t, budget, seed) for the configured attackers."""
+def _load_attackers(cfg: RunConfig, names) -> dict:
+    """Build name -> fn(g, t, budget, seed) for the named attackers; greedy
+    loads the embedding model only for the embedding objective."""
     fns = {}
-    names = [s.strip() for s in cfg.attackers.split(",") if s.strip()]
     for name in names:
         if name == "dqn":
             qnet = load_attacker(_need(_out(cfg, "attacker.bin"), "train-attack"))
@@ -280,8 +279,10 @@ def _load_attackers(cfg: RunConfig, g: Graph):
         elif name == "degree":
             fns[name] = lambda gg, t, b, s: degree_attack(gg, t, b)
         elif name == "greedy":
-            model = load_embed_model(
-                _need(_out(cfg, "embed_model.bin"), "train-embed"))
+            model = None
+            if cfg.greedy_objective == "embedding":
+                model = load_embed_model(
+                    _need(_out(cfg, "embed_model.bin"), "train-embed"))
             fns[name] = lambda gg, t, b, s, m=model: greedy_attack(
                 gg, t, b, cfg.k_hops, m, cfg.greedy_objective)
         elif name == "none":
@@ -331,7 +332,7 @@ def cmd_train_attack(cfg: RunConfig, args) -> None:
 
 def cmd_attack(cfg: RunConfig, args) -> None:
     g = _resolve_graph(cfg)
-    qnet = load_attacker(_need(_out(cfg, "attacker.bin"), "train-attack"))
+    dqn = _load_attackers(cfg, ["dqn"])["dqn"]
     if getattr(args, "targets", None):
         targets = _int_list(args.targets, "--targets")
         for t in targets:
@@ -344,7 +345,7 @@ def cmd_attack(cfg: RunConfig, args) -> None:
                          rng.choice(g.node_count, size=take, replace=False))
     rows = []
     for t in targets:
-        edits = infer_attack(qnet, g, t, cfg.budget)
+        edits = dqn(g, t, cfg.budget, None)
         dist = graph_distance(g, apply_edits(g, edits))
         if dist > cfg.budget:
             raise DataError(f"attack on {t} used {dist} edits > budget")
@@ -373,7 +374,8 @@ def cmd_evaluate(cfg: RunConfig, args) -> None:
                           stage_seed(cfg.seed, "victim"))
     bundle = VictimBundle(name=f"{cfg.victim_kind}-{cfg.victim_task}",
                           model=victim, split=split)
-    attackers = _load_attackers(cfg, g)
+    attackers = _load_attackers(
+        cfg, [s.strip() for s in cfg.attackers.split(",") if s.strip()])
     budgets = _int_list(cfg.budgets, "budgets") or [cfg.budget]
     report = run_benchmark(g, attackers, [bundle], budgets, cfg.num_targets,
                            cfg.seed, k=cfg.k_hops)
@@ -408,11 +410,9 @@ def cmd_analyze(cfg: RunConfig, args) -> None:
                  ("edge_expansion", "conductance", "volume", "normalized_cut")
                  } if cfg.analyze_community else {}
         n_orig = k_hop_neighborhood(g, t, cfg.k_hops)
-        for v in candidate_edits(g, t).tolist():
-            g_pert = apply_edit(g, flip_edit(g, t, v))
-            z_pert = embedding_forward(model, g_pert)
-            n_pert = k_hop_neighborhood(g_pert, t, cfg.k_hops)
-            score = embedding_distortion(z_pert, t, n_orig, n_pert).value
+        for edit, g_pert, z_pert, score in single_flip_distortions(
+                model, g, t, cfg.k_hops, n_orig):
+            v = edit.v if edit.u == t else edit.u
             nodes.append(v)
             dists.append(score)
             if cfg.analyze_community:
@@ -445,29 +445,20 @@ def cmd_oracle(cfg: RunConfig, args) -> None:
     import time as _time
     g = _resolve_graph(cfg)
     model_path = _out(cfg, "embed_model.bin")
-    model = None
-    if cfg.greedy_objective == "embedding" or os.path.exists(model_path):
-        model = load_embed_model(_need(model_path, "train-embed"))
-    qnet = None
-    if os.path.exists(_out(cfg, "attacker.bin")):
-        qnet = load_attacker(_out(cfg, "attacker.bin"))
+    model = load_embed_model(model_path) if os.path.exists(model_path) else None
     rng = np.random.default_rng(stage_seed(cfg.seed, "oracle-targets"))
     take = min(cfg.oracle_targets, g.node_count)
     targets = sorted(int(t) for t in
                      rng.choice(g.node_count, size=take, replace=False))
     budget = cfg.oracle_budget
     k = cfg.k_hops
-    methods = {}
+    names = ["greedy", "random", "degree"]
+    if os.path.exists(_out(cfg, "attacker.bin")):
+        names.append("dqn")
+    methods = _load_attackers(cfg, names)
     if cfg.include_brute:
-        methods["brute_force"] = lambda t, s: list(brute_force_max_distortion(
-            g, t, budget, k, cap=cfg.brute_cap)[0])
-    if model is not None or cfg.greedy_objective == "graph":
-        methods["greedy"] = lambda t, s: greedy_attack(
-            g, t, budget, k, model, cfg.greedy_objective)
-    methods["random"] = lambda t, s: random_attack(g, t, budget, s)
-    methods["degree"] = lambda t, s: degree_attack(g, t, budget)
-    if qnet is not None:
-        methods["dqn"] = lambda t, s: infer_attack(qnet, g, t, budget)
+        methods["brute_force"] = lambda gg, t, b, s: list(
+            brute_force_max_distortion(gg, t, b, k, cap=cfg.brute_cap)[0])
     rows = []
     timings = {}
     for name in sorted(methods):
@@ -478,7 +469,7 @@ def cmd_oracle(cfg: RunConfig, args) -> None:
             call_seed = stage_seed(cfg.seed, f"oracle:{name}:{t}")
             t0 = _time.perf_counter()
             try:
-                edits = fn(t, call_seed)
+                edits = fn(g, t, budget, call_seed)
             except SizeCapError as exc:
                 per_target.append({"target": t, "skipped": str(exc)})
                 continue
@@ -488,10 +479,8 @@ def cmd_oracle(cfg: RunConfig, args) -> None:
                    "edits": [[e.u, e.v, e.sign] for e in edits],
                    "graph_distortion": neighborhood_distortion(g, g_pert, t, k)}
             if model is not None:
-                z = embedding_forward(model, g_pert)
-                rec["embedding_distortion"] = embedding_distortion(
-                    z, t, k_hop_neighborhood(g, t, k),
-                    k_hop_neighborhood(g_pert, t, k)).value
+                rec["embedding_distortion"] = graph_pair_distortion(
+                    model, g, g_pert, t, k).value
             per_target.append(rec)
         done = [r for r in per_target if "skipped" not in r]
         row = {"method": name, "targets": per_target,

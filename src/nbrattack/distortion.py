@@ -5,6 +5,10 @@ the score compares how far the target sits from its ORIGINAL k-hop
 neighborhood versus its PERTURBED one, using one table Z computed on
 the perturbed graph. A positive value means the edits pushed the target
 away from where it used to live.
+
+``single_flip_distortions`` scores every single flip of one target so,
+re-embedding each flipped graph; the DQN reward reads the two hoods its
+episode chain already holds.
 """
 from __future__ import annotations
 
@@ -14,7 +18,8 @@ import numpy as np
 
 from .embed import EmbeddingTable, embedding_forward
 from .errors import DataError
-from .graphs import Graph, k_hop_neighborhood
+from .graphs import (Graph, apply_edit, candidate_edits, flip_edit,
+                     k_hop_neighborhood)
 
 
 @dataclass(frozen=True)
@@ -59,3 +64,21 @@ def graph_pair_distortion(embed_model, g_orig: Graph, g_pert: Graph, t: int,
     n_pert = k_hop_neighborhood(g_pert, t, k)
     z_pert = embedding_forward(embed_model, g_pert)
     return embedding_distortion(z_pert, t, n_orig, n_pert)
+
+
+def single_flip_distortions(embed_model, g: Graph, t: int, k: int, n_orig,
+                            accessible=None):
+    """Yield (edit, g_pert, z_pert, value) for each single flip of t in g,
+    in ``candidate_edits`` order: g_pert is g with the edit applied, z_pert
+    its embedding by `embed_model` (frozen parameters, or a callable
+    graph -> table), and value t's distortion from `n_orig` to its k-hop
+    neighborhood in g_pert. Raises NoCandidatesError when t has none."""
+    frozen = hasattr(embed_model, "param_dict") or not callable(embed_model)
+    for v in candidate_edits(g, t, accessible):
+        edit = flip_edit(g, t, v)
+        g_pert = apply_edit(g, edit)
+        z_pert = (embedding_forward(embed_model, g_pert) if frozen
+                  else embed_model(g_pert))
+        n_pert = k_hop_neighborhood(g_pert, t, k)
+        yield edit, g_pert, z_pert, embedding_distortion(
+            z_pert, t, n_orig, n_pert).value

@@ -17,11 +17,12 @@ Training runs L episodes of T edits with epsilon-greedy exploration
 (epsilon = max(0.05, 0.9^j) on the global step count j), an n-step
 replay buffer and squared-loss fitted Q-iteration; the bootstrap target
 y = sum of the n intermediate rewards + gamma * max_e Q(S_{i+n}, e)
-uses the current parameters (no frozen target copy). The replay keeps
-the graphs each episode built, with the target's k-hop neighborhood in
-each, since neither depends on the parameters: a fit derives no graph
-and only runs the Q-net GCN forward and backward. Inference needs only
-B forward passes and never touches the reward model.
+uses the current parameters (no frozen target copy). Each episode keeps
+its graphs with the target's k-hop neighborhood in each, as neither
+depends on the parameters: a step's reward reads two of these hoods, and
+the replay keeps the graphs, so a fit derives no graph and only runs the
+Q-net GCN forward and backward. Inference needs only B forward passes
+and never touches the reward model.
 """
 from __future__ import annotations
 
@@ -32,7 +33,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import io as fileio
-from .distortion import graph_pair_distortion
+from .distortion import embedding_distortion
+from .embed import embedding_forward
 from .errors import DataError, TrainingError
 from .graphs import (ADD, EdgeEdit, Graph, apply_edit, candidate_edits,
                      flip_edit, k_hop_neighborhood)
@@ -164,10 +166,12 @@ def _score_candidates(qnet: QNetParams, mu: np.ndarray, g: Graph, t: int,
     return sigmoid(rows @ qnet.w_merge) @ qnet.w_out
 
 
-def step_reward(embed_model, t: int, g_i: Graph, g_next: Graph, k: int = 2
-                ) -> float:
-    """Marginal distortion gain of one edit, in the new graph's embedding."""
-    return graph_pair_distortion(embed_model, g_i, g_next, t, k).value
+def step_reward(embed_model, t: int, hood: np.ndarray, g_next: Graph,
+                next_hood: np.ndarray) -> float:
+    """Marginal distortion gain of one edit, in the new graph's embedding,
+    from t's k-hop `hood` before it to its `next_hood` after it."""
+    return embedding_distortion(embedding_forward(embed_model, g_next), t,
+                                hood, next_hood).value
 
 
 # -- training --------------------------------------------------------------------------
@@ -248,7 +252,8 @@ def train_dqn(g: Graph, embed_model, cfg: AttackEpisodeConfig, seed: int,
             edit = flip_edit(g_cur, t, other)
             g_next = apply_edit(g_cur, edit)
             chain.append((g_next, k_hop_neighborhood(g_next, t, qnet.k)))
-            rewards.append(step_reward(embed_model, t, g_cur, g_next, cfg.k))
+            rewards.append(step_reward(embed_model, t, hood, g_next,
+                                       chain[-1][1]))
             edits.append(edit)
             edited.add(int(other))
             if len(edits) >= cfg.n_step:

@@ -18,9 +18,8 @@ from math import comb
 import numpy as np
 
 from . import io as fileio
-from .distortion import embedding_distortion
-from .embed import embedding_forward
-from .errors import DataError, NoCandidatesError, SizeCapError
+from .distortion import single_flip_distortions
+from .errors import DataError, SizeCapError
 from .graphs import (EdgeEdit, Graph, _jaccard_distance, apply_edit,
                      apply_edits, candidate_edits, flip_edit,
                      k_hop_neighborhood)
@@ -119,53 +118,44 @@ def brute_force_max_distortion(g: Graph, t: int, budget: int, k: int = 2,
     return best_edits, best_value
 
 
-def _table_source(embed_model):
-    """Accept a frozen embedding model or a callable graph -> table."""
-    if callable(embed_model) and not hasattr(embed_model, "param_dict"):
-        return embed_model
-    return lambda graph: embedding_forward(embed_model, graph)
-
-
 def greedy_attack(g: Graph, t: int, budget: int, k: int = 2,
                   embed_model=None, objective: str = "embedding",
                   accessible=None) -> list[EdgeEdit]:
-    """Commit the best single edit per step, re-scoring every candidate.
+    """Commit the best single edit per step, re-scoring every candidate;
+    ties go to the first candidate in ``candidate_edits`` order.
 
     objective="embedding": maximizes cumulative embedding distortion
-    against the starting graph, re-embedding each candidate graph with
-    `embed_model` (frozen parameters, or a callable graph -> table for
-    full retraining). objective="graph": maximizes the k-hop Jaccard
-    distance instead and needs no embeddings.
+    against the starting graph with ``single_flip_distortions``, which
+    re-embeds each candidate graph with `embed_model` (frozen parameters,
+    or a callable graph -> table for full retraining). objective="graph":
+    maximizes the k-hop Jaccard distance instead and needs no embeddings.
     """
     if budget < 1:
         raise DataError(f"greedy budget must be >= 1, got {budget}")
     if objective not in ("embedding", "graph"):
         raise DataError(f"unknown objective {objective!r}")
-    if objective == "embedding":
-        if embed_model is None:
-            raise DataError("embedding objective requires an embedding model")
-        source = _table_source(embed_model)
+    if objective == "embedding" and embed_model is None:
+        raise DataError("embedding objective requires an embedding model")
     n_start = k_hop_neighborhood(g, t, k)
     chosen: list[EdgeEdit] = []
     cur = g
     for _ in range(budget):
-        best_edit = None
-        best_value = -np.inf
-        for v in candidate_edits(cur, t, accessible):  # raises if none
-            e = flip_edit(cur, t, v)
-            nxt = apply_edit(cur, e)
-            if objective == "graph":
-                value = _jaccard_distance(n_start, k_hop_neighborhood(nxt, t, k))
-            else:
-                table = source(nxt)
-                n_next = k_hop_neighborhood(nxt, t, k)
-                value = embedding_distortion(table, t, n_start, n_next).value
-            if value > best_value:
-                best_value = value
-                best_edit = e
-        chosen.append(best_edit)
-        cur = apply_edit(cur, best_edit)
+        if objective == "embedding":
+            scored = single_flip_distortions(embed_model, cur, t, k, n_start,
+                                             accessible)
+        else:
+            scored = _jaccard_flips(cur, t, k, n_start, accessible)
+        edit, cur = max(scored, key=lambda row: row[-1])[:2]  # first maximum
+        chosen.append(edit)
     return chosen
+
+
+def _jaccard_flips(g: Graph, t: int, k: int, n_start, accessible):
+    """(edit, g_pert, k-hop Jaccard distance from n_start) per single flip."""
+    for v in candidate_edits(g, t, accessible):  # raises if none
+        e = flip_edit(g, t, v)
+        nxt = apply_edit(g, e)
+        yield e, nxt, _jaccard_distance(n_start, k_hop_neighborhood(nxt, t, k))
 
 
 def random_attack(g: Graph, t: int, budget: int, seed,

@@ -5,7 +5,7 @@ import pytest
 import scipy.stats
 
 from nbrattack.analysis import (COMMUNITY_METRICS, NODE_PROPERTIES,
-                                PropertyRanking, TargetCandidates,
+                                TargetCandidates,
                                 _average_ranks, community_metric,
                                 correlation_study, embedding_community,
                                 feature_similarity, local_clustering,
@@ -156,14 +156,6 @@ class TestRanks:
             vals = rng.integers(0, 5, size=12).astype(float)
             assert np.allclose(_average_ranks(vals),
                                scipy.stats.rankdata(vals, method="average"))
-
-    def test_property_ranking_descending(self):
-        pr = PropertyRanking.build("degree", [10, 11, 12], [2.0, 5.0, 2.0])
-        assert pr.ranks.tolist() == [2.5, 1.0, 2.5]
-
-    def test_length_mismatch(self):
-        with pytest.raises(DataError):
-            PropertyRanking.build("x", [1, 2], [0.5])
 
 
 class TestSpearman:

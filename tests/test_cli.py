@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import os
+import runpy
 import subprocess
 import sys
 
@@ -116,6 +117,16 @@ class TestExitCodes:
     def test_bad_config_file_missing(self, tmp_path):
         assert run("gen-sbm", "-c", str(tmp_path / "nope.txt"),
                    "-o", str(tmp_path)) == 3
+
+    def test_graph_greedy_needs_no_embedding_model(self, tmp_path):
+        assert run("gen-sbm", "-o", str(tmp_path), *TINY) == 0
+        for stage in ("evaluate", "oracle"):
+            code = run(stage, "-o", str(tmp_path), *TINY,
+                       "--set", "attackers=greedy,random",
+                       "--set", "greedy_objective=graph")
+            assert code == 0, stage
+        report = read_json(tmp_path / "report.json")
+        assert {c["attacker"] for c in report["cells"]} == {"greedy", "random"}
 
 
 def _subprocess_env():
@@ -240,6 +251,44 @@ class TestPipeline:
         assert cfg.out_dir == str(pipeline_dir)
         # every field survives the round trip
         assert len(parsed) == len(dataclasses.fields(RunConfig))
+
+
+def test_analyze_community_rows(tmp_path):
+    argv = ["-o", str(tmp_path), *TINY, "--set", "analyze_community=true",
+            "--set", "analyze_community_size=5"]
+    assert main(["train-embed", *argv]) == 0
+    assert main(["analyze", *argv]) == 0
+    doc = read_json(tmp_path / "correlations.json")
+    names = [row["property"] for row in doc["properties"]]
+    assert names[4:] == ["conductance_diff", "edge_expansion_diff",
+                         "normalized_cut_diff", "volume_diff"]
+    assert len(doc["per_target"]) == 2
+    for row in doc["per_target"]:
+        assert len(row["distortions"]) == 16 - 1
+        assert all(np.isfinite(d) for d in row["distortions"])
+
+
+def _perfbench_workloads():
+    """perfbench/workloads.py, loaded by path: the benchmark is no package."""
+    path = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "perfbench", "workloads.py")
+    return runpy.run_path(path)["WORKLOADS"]
+
+
+def test_benchmark_configs_parse_and_emit_checked_keys(tmp_path):
+    # keys the benchmark's output checks read from each stage's config.txt
+    checked = {"sbm_blocks", "embed_epochs", "dqn_episodes", "num_targets",
+               "budget", "budgets", "attackers", "analyze_targets",
+               "include_brute", "oracle_budget"}
+    workloads = _perfbench_workloads()
+    assert workloads
+    for name, workload in workloads.items():
+        parsed = parse_config_text(workload.config_text(0))
+        path = tmp_path / f"{name}.txt"
+        emit_config(RunConfig(**parsed), str(path))
+        emitted = parse_config_text(path.read_text())
+        assert checked <= set(emitted), name
+        assert {k: emitted[k] for k in parsed} == parsed, name
 
 
 class TestReproducibility:

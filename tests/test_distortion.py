@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 from nbrattack.distortion import (embedding_distortion, graph_pair_distortion,
-                                  mean_l2_to_set)
+                                  mean_l2_to_set, single_flip_distortions)
 from nbrattack.embed import EmbeddingTable, GinParams, gin_forward
 from nbrattack.errors import DataError
-from nbrattack.graphs import ADD, EdgeEdit, apply_edit, k_hop_neighborhood
+from nbrattack.graphs import (ADD, EdgeEdit, apply_edit, candidate_edits,
+                              flip_edit, k_hop_neighborhood)
 from nbrattack.numerics import rng_from_seed
 from tests.conftest import make_graph
 
@@ -106,3 +107,36 @@ class TestGraphPairDistortion:
         # original hood is just {0} -> d_orig = 0; new hood nonempty
         assert score.d_orig == 0.0
         assert score.d_pert > 0.0
+
+
+class TestSingleFlipDistortions:
+    def test_reference_values_in_candidate_order(self, small_sbm):
+        params = GinParams.init(small_sbm.node_count, 4, 2, rng_from_seed(0))
+        for t in (0, 7):
+            n_orig = k_hop_neighborhood(small_sbm, t, 2)
+            rows = list(single_flip_distortions(params, small_sbm, t, 2,
+                                                n_orig))
+            others = candidate_edits(small_sbm, t)
+            assert [e for e, _, _, _ in rows] == \
+                [flip_edit(small_sbm, t, v) for v in others]
+            for edit, g_pert, z_pert, value in rows:
+                assert set(g_pert.edges()) == \
+                    set(apply_edit(small_sbm, edit).edges())
+                assert np.array_equal(z_pert.values,
+                                      gin_forward(params, g_pert).values)
+                assert value == graph_pair_distortion(
+                    params, small_sbm, g_pert, t, 2).value
+
+    def test_callable_source_and_accessible(self, small_sbm):
+        params = GinParams.init(small_sbm.node_count, 4, 2, rng_from_seed(1))
+        seen = []
+
+        def source(graph):
+            seen.append(graph)
+            return gin_forward(params, graph)
+
+        n_orig = k_hop_neighborhood(small_sbm, 3, 2)
+        rows = list(single_flip_distortions(source, small_sbm, 3, 2, n_orig,
+                                            accessible=[9, 3, 1]))
+        assert [e.v if e.u == 3 else e.u for e, _, _, _ in rows] == [1, 9]
+        assert [g for _, g, _, _ in rows] == seen

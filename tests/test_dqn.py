@@ -194,7 +194,8 @@ class TestReward:
         t = 1
         e = flip_edit(small_sbm, t, candidate_edits(small_sbm, t)[0])
         g2 = apply_edit(small_sbm, e)
-        got = step_reward(model, t, small_sbm, g2, k=2)
+        got = step_reward(model, t, k_hop_neighborhood(small_sbm, t, 2), g2,
+                          k_hop_neighborhood(g2, t, 2))
         want = graph_pair_distortion(model, small_sbm, g2, t, 2).value
         assert got == pytest.approx(want, abs=1e-15)
 
