@@ -48,6 +48,18 @@ def local_clustering(g: Graph, v: int) -> float:
     return 2.0 * links / (d * (d - 1))
 
 
+def _nearest(z: np.ndarray, u: int, k: int) -> np.ndarray:
+    """The k rows of z nearest to row u by L2 distance, u excluded, ties at
+    the k-th distance broken by ascending index; in no particular order."""
+    if k <= 0:
+        return np.empty(0, dtype=np.int64)
+    d = np.linalg.norm(z - z[u], axis=1)
+    d[u] = np.inf
+    kth = np.partition(d, k - 1)[k - 1]
+    below = np.flatnonzero(d < kth)
+    return np.concatenate([below, np.flatnonzero(d == kth)[:k - below.size]])
+
+
 def reverse_knn_ranks(g: Graph, embeddings: EmbeddingTable | None = None,
                       k: int = 100) -> np.ndarray:
     """Average-tied descending rank of each node's reverse-neighbor count.
@@ -61,13 +73,9 @@ def reverse_knn_ranks(g: Graph, embeddings: EmbeddingTable | None = None,
     if embeddings is not None:
         if embeddings.node_count != n:
             raise DataError("embedding table does not match the graph")
-        z = embeddings.values
         kk = min(k, n - 1)
         for u in range(n):
-            d = np.linalg.norm(z - z[u], axis=1)
-            d[u] = np.inf
-            nearest = np.lexsort((np.arange(n), d))[:kk]
-            counts[nearest] += 1
+            counts[_nearest(embeddings.values, u, kk)] += 1
     else:
         for u in range(n):
             counts[k_hop_neighborhood(g, u, 2)] += 1
@@ -131,14 +139,13 @@ def community_metric(g: Graph, s, which: str, corrected_ncs: bool = False
 
 def embedding_community(table: EmbeddingTable, v: int, size: int = 50
                         ) -> list[int]:
-    """v plus its `size` nearest nodes in embedding space (ties by id)."""
+    """v plus its `size` nearest nodes in embedding space (ties by id),
+    sorted. At most n - 2 nodes join v, so the community stays a proper
+    subset of the n nodes, as ``community_metric`` requires."""
     n = table.node_count
     if not (0 <= v < n):
         raise DataError(f"node {v} out of range")
-    d = np.linalg.norm(table.values - table.values[v], axis=1)
-    d[v] = np.inf
-    nearest = np.lexsort((np.arange(n), d))[:min(size, n - 1)]
-    return sorted({v, *nearest.tolist()})
+    return sorted([v, *_nearest(table.values, v, min(size, n - 2)).tolist()])
 
 
 # -- Spearman correlation ---------------------------------------------------------------

@@ -21,18 +21,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import io as fileio
-from .analysis import (NODE_PROPERTIES, TargetCandidates, correlation_study,
-                       community_metric, embedding_community)
-from .distortion import graph_pair_distortion, single_flip_distortions
+from .analysis import (COMMUNITY_METRICS, NODE_PROPERTIES, TargetCandidates,
+                       community_metric, correlation_study,
+                       embedding_community)
+from .distortion import (flip_base, flip_distortions, flip_tables,
+                         graph_pair_distortion)
 from .dqn import (AttackEpisodeConfig, infer_attack, load_attacker,
                   save_attacker, train_dqn)
-from .embed import (EmbedConfig, WalkConfig, embedding_forward,
-                    load_embed_model, save_embed_model, save_embedding,
-                    train_embedding)
+from .embed import (EmbedConfig, WalkConfig, load_embed_model,
+                    save_embed_model, save_embedding, train_embedding)
 from .errors import (DataError, NoCandidatesError, SamplingError,
                      SizeCapError, TrainingError)
-from .graphs import (Graph, apply_edits, graph_distance, k_hop_neighborhood,
-                     largest_connected_component, neighborhood_distortion)
+from .graphs import (Graph, apply_edit, apply_edits, graph_distance,
+                     k_hop_neighborhood, largest_connected_component,
+                     neighborhood_distortion)
 from .numerics import stage_seed
 from .oracles import (BRUTE_FORCE_CAP, brute_force_max_distortion,
                       degree_attack, greedy_attack, random_attack)
@@ -398,28 +400,25 @@ def cmd_evaluate(cfg: RunConfig, args) -> None:
 def cmd_analyze(cfg: RunConfig, args) -> None:
     g = _resolve_graph(cfg)
     model = load_embed_model(_need(_out(cfg, "embed_model.bin"), "train-embed"))
-    table = embedding_forward(model, g)
+    base = flip_base(model, g)
+    table = base.table
     rng = np.random.default_rng(stage_seed(cfg.seed, "analyze-targets"))
     take = min(cfg.analyze_targets, g.node_count)
     targets = sorted(int(t) for t in
                      rng.choice(g.node_count, size=take, replace=False))
     per_target = []
     for t in targets:
-        nodes, dists = [], []
-        extra = {f"{m}_diff": [] for m in
-                 ("edge_expansion", "conductance", "volume", "normalized_cut")
-                 } if cfg.analyze_community else {}
         n_orig = k_hop_neighborhood(g, t, cfg.k_hops)
-        for edit, g_pert, z_pert, score in single_flip_distortions(
-                model, g, t, cfg.k_hops, n_orig):
-            v = edit.v if edit.u == t else edit.u
-            nodes.append(v)
-            dists.append(score)
-            if cfg.analyze_community:
+        others, values = flip_distortions(base, t, cfg.k_hops, n_orig)
+        nodes, dists = others.tolist(), values.tolist()
+        extra = {}
+        if cfg.analyze_community:
+            extra = {f"{m}_diff": [] for m in COMMUNITY_METRICS}
+            for (edit, z_pert), v in zip(flip_tables(base, t), nodes):
+                g_pert = apply_edit(g, edit)
                 s_orig = embedding_community(table, v, cfg.analyze_community_size)
                 s_pert = embedding_community(z_pert, v, cfg.analyze_community_size)
-                for m in ("edge_expansion", "conductance", "volume",
-                          "normalized_cut"):
+                for m in COMMUNITY_METRICS:
                     before = community_metric(g, s_orig, m,
                                               cfg.analyze_corrected_ncs)
                     after = community_metric(g_pert, s_pert, m,

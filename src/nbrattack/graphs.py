@@ -190,18 +190,25 @@ class Graph:
         the sorted index order that the product D @ (A + I) @ D gives.
         """
         if self._norm_adj_csr is None:
-            a = self.adjacency()
             n = self.node_count
-            counts = np.diff(a.indptr)
-            rows = np.repeat(np.arange(n), counts)
-            below = np.bincount(rows[a.indices < rows], minlength=n)
-            indices = np.insert(a.indices, a.indptr[:-1] + below, np.arange(n))
-            indptr = a.indptr + np.arange(n + 1)
-            d = 1.0 / np.sqrt((counts + 1).astype(np.float64))
-            data = d[np.repeat(np.arange(n), counts + 1)] * d[indices]
+            indptr, indices = _self_loop_structure(self)
+            counts = np.diff(indptr)
+            d = 1.0 / np.sqrt(counts.astype(np.float64))
+            data = d[np.repeat(np.arange(n), counts)] * d[indices]
             self._norm_adj_csr = sp.csr_matrix((data, indices, indptr),
                                                shape=(n, n))
         return self._norm_adj_csr
+
+
+def _self_loop_structure(g: Graph) -> tuple[np.ndarray, np.ndarray]:
+    """(indptr, indices) of A + I: each node inserted into its own sorted
+    adjacency row, the structure of ``normalized_adjacency``."""
+    a = g.adjacency()
+    n = g.node_count
+    rows = np.repeat(np.arange(n), np.diff(a.indptr))
+    below = np.bincount(rows[a.indices < rows], minlength=n)
+    indices = np.insert(a.indices, a.indptr[:-1] + below, np.arange(n))
+    return a.indptr + np.arange(n + 1), indices
 
 
 def _csr_arrays(edges, n: int) -> tuple[np.ndarray, np.ndarray]:

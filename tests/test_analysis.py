@@ -17,6 +17,23 @@ from nbrattack.numerics import rng_from_seed
 from tests.conftest import make_graph
 
 
+def nearest_by_lexsort(z, u, k):
+    """The k nearest rows to row u by one full sort of (distance, index):
+    the oracle for the partition-based selection in analysis."""
+    d = np.linalg.norm(z - z[u], axis=1)
+    d[u] = np.inf
+    return np.lexsort((np.arange(len(z)), d))[:k]
+
+
+def tie_heavy_tables():
+    """Random tables, and small-integer ones where many distances tie."""
+    rng = rng_from_seed(11)
+    yield rng.normal(size=(40, 3))
+    yield rng.integers(0, 3, size=(40, 2)).astype(float)
+    yield np.zeros((7, 2))
+    yield np.repeat(rng.normal(size=(5, 2)), 4, axis=0)
+
+
 class TestNodeProperties:
     def test_feature_similarity_hand_values(self):
         feats = np.array([[1.0, 1.0, 0.0],
@@ -84,6 +101,17 @@ class TestReverseKnn:
         # k caps at 4, so every node is counted by all 4 others: all tied
         assert np.all(ranks == 3.0)
 
+    def test_matches_lexsort_oracle(self):
+        for z in tie_heavy_tables():
+            n = len(z)
+            g = make_graph(n, [])
+            for k in (1, 2, 5, n - 2, n - 1, 100):
+                counts = np.zeros(n)
+                for u in range(n):
+                    counts[nearest_by_lexsort(z, u, min(k, n - 1))] += 1
+                got = reverse_knn_ranks(g, EmbeddingTable(values=z), k)
+                assert np.array_equal(got, _average_ranks(-counts))
+
     def test_table_size_mismatch(self, triangle_plus):
         z = EmbeddingTable(values=np.zeros((3, 2)))
         with pytest.raises(DataError):
@@ -145,8 +173,24 @@ class TestCommunityMetrics:
         assert got == [0, 1, 3]
 
     def test_embedding_community_size_cap(self):
+        # at most n - 2 nodes join v: the community stays a proper subset
         z = EmbeddingTable(values=rng_from_seed(0).normal(size=(4, 2)))
-        assert len(embedding_community(z, 1, size=50)) == 4
+        got = embedding_community(z, 1, size=50)
+        assert len(got) == 3
+        g = make_graph(4, [(0, 1), (1, 2), (2, 3)])
+        for which in COMMUNITY_METRICS:
+            assert np.isfinite(community_metric(g, got, which))
+
+    def test_embedding_community_matches_lexsort_oracle(self):
+        for z in tie_heavy_tables():
+            n = len(z)
+            for size in (0, 1, 3, n - 2, 50):
+                for v in range(0, n, 3):
+                    want = sorted({v, *nearest_by_lexsort(
+                        z, v, min(size, n - 2)).tolist()})
+                    got = embedding_community(EmbeddingTable(values=z), v,
+                                              size)
+                    assert got == want
 
 
 class TestRanks:

@@ -9,8 +9,11 @@ import numpy as np
 import pytest
 
 import nbrattack
+from nbrattack import distortion as distortion_mod
+from nbrattack import embed as embed_mod
 from nbrattack.cli import (RunConfig, UsageError, emit_config, load_config,
                            main, parse_config_text)
+from nbrattack.graphs import Graph
 from nbrattack.io import read_blob, read_json
 
 
@@ -266,6 +269,42 @@ def test_analyze_community_rows(tmp_path):
     for row in doc["per_target"]:
         assert len(row["distortions"]) == 16 - 1
         assert all(np.isfinite(d) for d in row["distortions"])
+
+
+def test_analyze_community_on_a_graph_smaller_than_the_community(tmp_path):
+    # 40 nodes with the default community size of 50: each community is
+    # capped below the node count, so every community metric is defined
+    argv = ["-o", str(tmp_path), *TINY, "--set", "sbm_blocks=20,20",
+            "--set", "analyze_community=true"]
+    assert main(["train-embed", *argv]) == 0
+    assert main(["analyze", *argv]) == 0
+
+
+def test_analyze_embeds_once_and_splices_no_sibling(tmp_path, monkeypatch):
+    argv = ["-o", str(tmp_path), *TINY]
+    assert main(["train-embed", *argv]) == 0
+    forwards, builds = [0], [0]
+
+    def counting(forward):
+        def run(*args):
+            forwards[0] += 1
+            return forward(*args)
+        return run
+
+    for name in ("_gin_forward_cached", "_gcn_embed_forward_cached"):
+        wrapped = counting(getattr(embed_mod, name))
+        for mod in (embed_mod, distortion_mod):
+            monkeypatch.setattr(mod, name, wrapped)
+    adjacency = Graph.adjacency
+
+    def counting_adjacency(self):
+        builds[0] += self._adj_csr is None
+        return adjacency(self)
+
+    monkeypatch.setattr(Graph, "adjacency", counting_adjacency)
+    assert main(["analyze", *argv]) == 0
+    assert forwards[0] == 1
+    assert builds[0] <= 1
 
 
 def _perfbench_workloads():

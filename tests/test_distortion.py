@@ -1,13 +1,20 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from nbrattack.distortion import (embedding_distortion, graph_pair_distortion,
-                                  mean_l2_to_set, single_flip_distortions)
-from nbrattack.embed import EmbeddingTable, GinParams, gin_forward
-from nbrattack.errors import DataError
+from nbrattack import distortion as distortion_mod
+from nbrattack.distortion import (embedding_distortion, flip_base,
+                                  flip_distortions, flip_tables,
+                                  graph_pair_distortion, mean_l2_to_set,
+                                  single_flip_distortions)
+from nbrattack.embed import (EmbeddingTable, GcnEmbedParams, GinParams,
+                             embedding_forward, gin_forward)
+from nbrattack.errors import DataError, NoCandidatesError
 from nbrattack.graphs import (ADD, EdgeEdit, apply_edit, candidate_edits,
                               flip_edit, k_hop_neighborhood)
 from nbrattack.numerics import rng_from_seed
+from nbrattack.sbm import generate_sbm
 from tests.conftest import make_graph
 
 
@@ -140,3 +147,103 @@ class TestSingleFlipDistortions:
                                             accessible=[9, 3, 1]))
         assert [e.v if e.u == 3 else e.u for e, _, _, _ in rows] == [1, 9]
         assert [g for _, g, _, _ in rows] == seen
+
+
+def random_model(backend, n, layers, seed):
+    """GIN or GCN embedding parameters; GIN gets a nonzero eps per layer,
+    so the diagonal of each layer's propagation matrix differs."""
+    rng = rng_from_seed(seed)
+    if backend == "gcn":
+        return GcnEmbedParams.init(n, 4, layers, rng)
+    model = GinParams.init(n, 4, layers, rng)
+    for lay in model.layers:
+        lay.eps = np.asarray(rng.uniform(-0.5, 0.5))
+    return model
+
+
+def assert_matches_reference(model, g, t, k):
+    """flip_distortions against single_flip_distortions on one target:
+    candidate order, each value to 1e-12, and the argmax wherever the
+    reference's top two are more than 1e-9 apart."""
+    n_orig = k_hop_neighborhood(g, t, k)
+    rows = list(single_flip_distortions(model, g, t, k, n_orig))
+    want = np.array([value for _, _, _, value in rows])
+    others, got = flip_distortions(flip_base(model, g), t, k, n_orig)
+    assert [flip_edit(g, t, v) for v in others] == [e for e, _, _, _ in rows]
+    assert np.abs(got - want).max() <= 1e-12
+    if want.size > 1 and np.diff(np.sort(want)[-2:])[0] > 1e-9:
+        assert np.argmax(got) == np.argmax(want)
+
+
+class TestFlipDistortions:
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_matches_reembedding(self, data):
+        n = data.draw(st.integers(2, 2 * distortion_mod._FLIP_CHUNK + 3),
+                      label="n")
+        rng = rng_from_seed(data.draw(st.integers(0, 1 << 16), label="seed"))
+        density = data.draw(st.sampled_from([0.05, 0.2, 0.5]), label="p")
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        edges = [e for e in pairs if rng.random() < density]
+        t = data.draw(st.integers(0, n - 1), label="t")
+        shape = data.draw(st.sampled_from(["plain", "isolated", "hub"]),
+                          label="shape")
+        if shape == "isolated":
+            edges = [e for e in edges if t not in e]
+        elif shape == "hub":
+            edges = sorted({*edges, *((min(t, x), max(t, x))
+                                      for x in range(n) if x != t)})
+        g = make_graph(n, edges)
+        for _ in range(data.draw(st.integers(0, 3), label="derived")):
+            u, v = rng.choice(n, size=2, replace=False).tolist()
+            g = apply_edit(g, flip_edit(g, u, v))
+        model = random_model(data.draw(st.sampled_from(["gin", "gcn"])), n,
+                             data.draw(st.integers(1, 3), label="layers"),
+                             int(rng.integers(1 << 16)))
+        assert_matches_reference(model, g, t, data.draw(st.integers(1, 3),
+                                                         label="k"))
+
+    @pytest.mark.parametrize("backend", ["gin", "gcn"])
+    def test_named_shapes_over_several_chunks(self, backend):
+        # 75 candidates span three chunks. In the root, node 0 is isolated
+        # and node 1 adjacent to all but 0; the derived graph adds (0, 1),
+        # so there node 1 is adjacent to every other node
+        root = generate_sbm([38, 38], 0.3, 0.05, seed=5)
+        edges = [e for e in root.edges() if 0 not in e]
+        edges = sorted({*edges, *((1, x) for x in range(2, 76))})
+        g = make_graph(76, edges)
+        derived = apply_edit(apply_edit(g, flip_edit(g, 2, 3)),
+                             EdgeEdit(0, 1, ADD))
+        assert 75 > 2 * distortion_mod._FLIP_CHUNK
+        for graph in (g, derived):
+            for layers in (1, 2, 3):
+                model = random_model(backend, 76, layers, layers)
+                for t in (0, 1, 40):
+                    assert_matches_reference(model, graph, t, 2)
+
+    @pytest.mark.parametrize("backend", ["gin", "gcn"])
+    def test_patched_tables_match_forward(self, backend, small_sbm):
+        for layers in (1, 2, 3):
+            model = random_model(backend, small_sbm.node_count, layers, 9)
+            base = flip_base(model, small_sbm)
+            assert np.array_equal(base.table.values,
+                                  embedding_forward(model, small_sbm).values)
+            for t in (0, 7):
+                rows = list(flip_tables(base, t))
+                assert [e for e, _ in rows] == [
+                    flip_edit(small_sbm, t, v)
+                    for v in candidate_edits(small_sbm, t)]
+                for edit, z_pert in rows:
+                    want = embedding_forward(model, apply_edit(small_sbm, edit))
+                    assert z_pert.backend == want.backend
+                    assert np.abs(z_pert.values - want.values).max() <= 1e-12
+
+    def test_no_candidates(self):
+        g = make_graph(1, [])
+        base = flip_base(GinParams.init(1, 2, 1, rng_from_seed(0)), g)
+        with pytest.raises(NoCandidatesError):
+            flip_distortions(base, 0, 2, k_hop_neighborhood(g, 0, 2))
+
+    def test_unknown_model(self, small_sbm):
+        with pytest.raises(DataError):
+            flip_base(object(), small_sbm)
