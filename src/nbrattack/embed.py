@@ -14,14 +14,16 @@ aggregation is (1+eps) * W + A @ W, which keeps every pass at
 O(|E| * dim) using the CSR adjacency. Backprop is written by hand and
 checked coordinate-wise against central differences in the tests.
 
-An epoch is array-native outside the walk steps themselves. Each step
-makes one scalar draw, in the order a walk-by-walk loop makes them, so
-the generator's stream is fixed; the walks land in one array and their
-context pairs come from a single position template. The loss gradient
-is scattered with one ``np.bincount`` per embedding column, which adds
-each node's terms in the order ``np.add.at`` would, so the gradient,
-and with it every trained model, is bit-identical to the per-pair
-scatter it replaces.
+An epoch is array-native outside the walk steps themselves. A uniform
+step replays the generator's own ``integers(deg)`` draw on uint32 words
+drawn ahead in blocks (``_WordStream``), and a biased step makes one
+``rng.choice`` call; both run in the order a walk-by-walk loop makes
+them, so the generator's stream is fixed. The walks land in one array
+and their context pairs come from a single position template. The loss
+gradient is scattered by one sparse (targets x others) product in input
+order, which adds each node's terms in the order ``np.add.at`` would,
+so the gradient, and with it every trained model, is bit-identical to
+the per-pair scatter it replaces.
 
 A GCN backend (same loss, symmetric-normalized propagation) is kept for
 ablation; it runs the stacked-GCN pass of ``numerics`` that the
@@ -30,9 +32,11 @@ backend tag so downstream stages can tell them apart.
 """
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+from scipy.sparse import coo_array
 
 from . import io as fileio
 from .errors import DataError, SamplingError
@@ -259,34 +263,86 @@ def embedding_forward(model, g: Graph) -> EmbeddingTable:
 _SCORE_CHUNK = 1 << 16
 
 
-def _second_order_walk(nbrs: list[list[int]], indptr, indices, start: int,
-                       length: int, p: float, q: float,
-                       rng: np.random.Generator) -> list[int]:
-    """One walk from ``start``; it stops early only at an isolated start.
+# Bounded draws work on the bit generator's 32-bit words.
+_WORD = 1 << 32
+_LOW = _WORD - 1
 
-    Every step makes the same single draw as a plain per-step loop would:
-    ``rng.integers(deg)`` on a uniform step, ``rng.choice(deg, p=w)`` on a
-    biased one, so the generator's stream does not depend on how the
-    walks are stored.
+
+class _WordStream:
+    """Replays ``Generator.integers(d)`` on the generator's own uint32 words.
+
+    For 1 <= d < 2**32 numpy draws ``integers(d)`` with Lemire's bounded
+    method on the bit generator's 32-bit words: it takes a word u, forms
+    m = u * d, draws again while m mod 2**32 < (2**32 - d) mod d, and
+    returns m >> 32; for d = 1 it draws nothing. ``below`` does the same
+    arithmetic on Python ints. The words come ``block`` at a time from
+    ``integers(0, 2**32, dtype=np.uint32)`` on a copy of the generator,
+    and the generator itself is advanced by the words each block hands
+    out (``close`` settles the last one), so its state ends where the
+    scalar calls would have left it and memory stays O(block).
     """
+
+    def __init__(self, rng: np.random.Generator, block: int):
+        self._rng = rng
+        self._ahead = copy.deepcopy(rng)
+        self._block = max(block, 1)
+        self._words: list[int] = []
+        self._pos = 0
+
+    def _word(self) -> int:
+        if self._pos == len(self._words):
+            self.close()
+            self._words = self._ahead.integers(0, _WORD, size=self._block,
+                                               dtype=np.uint32).tolist()
+        word = self._words[self._pos]
+        self._pos += 1
+        return word
+
+    def below(self, d: int) -> int:
+        """The value ``rng.integers(d)`` would return, for 1 <= d < 2**32."""
+        if d == 1:
+            return 0
+        m = self._word() * d
+        if m & _LOW < d:  # d bounds the threshold, so most draws skip it
+            threshold = (_WORD - d) % d
+            while m & _LOW < threshold:
+                m = self._word() * d
+        return m >> 32
+
+    def close(self) -> None:
+        """Advance the generator past the words handed out since the last call."""
+        self._rng.integers(0, _WORD, size=self._pos, dtype=np.uint32)
+        self._words, self._pos = [], 0
+
+
+def _uniform_walk(nbrs: list[list[int]], start: int, length: int,
+                  below) -> list[int]:
+    """One p = q = 1 walk from ``start``; it stops early only at an isolated
+    start. ``below(deg)`` picks each step as ``rng.integers(deg)`` would."""
     walk = [start]
-    draw = rng.integers
-    if p == 1.0 and q == 1.0:
-        cur = start
-        for _ in range(length - 1):
-            row = nbrs[cur]
-            if not row:
-                break
-            cur = row[draw(len(row))]
-            walk.append(cur)
-        return walk
+    cur = start
+    for _ in range(length - 1):
+        row = nbrs[cur]
+        if not row:
+            break
+        cur = row[below(len(row))]
+        walk.append(cur)
+    return walk
+
+
+def _second_order_walk(indptr, indices, start: int, length: int, p: float,
+                       q: float, rng: np.random.Generator) -> list[int]:
+    """One biased walk from ``start``; it stops early only at an isolated
+    start. The first step draws ``rng.integers(deg)`` and every later one
+    ``rng.choice(deg, p=w)``."""
+    walk = [start]
     while len(walk) < length:
         cur = walk[-1]
         row = indices[indptr[cur]:indptr[cur + 1]]
         if row.size == 0:
             break
         if len(walk) == 1:
-            nxt = int(row[draw(row.size)])
+            nxt = int(row[rng.integers(row.size)])
         else:
             prev = walk[-2]
             w = np.ones(row.size)
@@ -309,7 +365,11 @@ def sample_positive_walks(g: Graph, cfg: WalkConfig, rng: np.random.Generator
     Context windows look forward only: walk positions (i, j) pair up for
     i < j <= i + context_size. Returns an int64 array of shape (P, 2),
     walk by walk in generation order (``walks_per_node`` rounds over the
-    nodes), each walk's pairs ordered by i then j. The walks go into one
+    nodes), each walk's pairs ordered by i then j. Uniform walks
+    (p = q = 1) take their steps from a ``_WordStream`` that draws one
+    round's n * (walk_length - 1) words at a time; biased walks call the
+    generator per step. Either way the generator ends in the state a
+    per-step ``rng.integers`` loop leaves. The walks go into one
     (walks, walk_length) array, and the pairs are expanded from a single
     position template, masked to each walk's length.
     """
@@ -318,14 +378,24 @@ def sample_positive_walks(g: Graph, cfg: WalkConfig, rng: np.random.Generator
     csr = g.adjacency()
     indptr, indices = csr.indptr, csr.indices
     n, length = g.node_count, cfg.walk_length
-    nbrs = [indices[indptr[u]:indptr[u + 1]].tolist() for u in range(n)]
+    p, q = cfg.return_p, cfg.inout_q
     steps, lens = [], []
-    for _ in range(cfg.walks_per_node):
-        for start in range(n):
-            walk = _second_order_walk(nbrs, indptr, indices, start, length,
-                                      cfg.return_p, cfg.inout_q, rng)
-            steps.extend(walk)
-            lens.append(len(walk))
+    if p == 1.0 and q == 1.0:
+        nbrs = [indices[indptr[u]:indptr[u + 1]].tolist() for u in range(n)]
+        stream = _WordStream(rng, n * (length - 1))
+        for _ in range(cfg.walks_per_node):
+            for start in range(n):
+                walk = _uniform_walk(nbrs, start, length, stream.below)
+                steps.extend(walk)
+                lens.append(len(walk))
+        stream.close()
+    else:
+        for _ in range(cfg.walks_per_node):
+            for start in range(n):
+                walk = _second_order_walk(indptr, indices, start, length, p, q,
+                                          rng)
+                steps.extend(walk)
+                lens.append(len(walk))
     lens = np.asarray(lens, dtype=np.int64)
     walks = np.zeros((lens.size, length), dtype=np.int64)
     walks[np.arange(length) < lens[:, None]] = steps
@@ -348,7 +418,9 @@ def _batch_negatives(g: Graph, centers: np.ndarray, per_center: int,
     n = g.node_count
     csr = g.adjacency()
     rows = np.repeat(np.arange(n), np.diff(csr.indptr))
-    edge_keys = np.sort(rows.astype(np.int64) * n + csr.indices.astype(np.int64))
+    # CSR rows are in order and each row's columns ascend, so the row-major
+    # keys are already sorted for searchsorted
+    edge_keys = rows.astype(np.int64) * n + csr.indices.astype(np.int64)
     cen = np.repeat(centers, per_center)
     out = np.empty(cen.size, dtype=np.int64)
     pending = np.arange(cen.size)
@@ -388,14 +460,16 @@ def unsup_loss(table: EmbeddingTable, positives: np.ndarray,
     each block contributes the mean over its rows. Either may be empty.
 
     The epoch is array-native: every (c, x) row with coefficient k adds
-    k * z[x] to dz[c] and k * z[c] to dz[x], and all these terms go
-    through one ``np.bincount`` per embedding column, over the targets
-    [c_pos, x_pos, c_neg, x_neg] in that order. ``bincount`` adds each
-    node's terms from 0.0 in input order, the order in which four
-    unbuffered ``add.at`` scatters (positives by center, then by context,
-    then negatives likewise) add them, so dz is bit-identical to that
-    scatter while no (P, dim) array is ever built. Scores are computed
-    _SCORE_CHUNK rows at a time for the same reason.
+    k * z[x] to dz[c] and k * z[c] to dz[x]. All these terms go through
+    one sparse product: the (n, n) COO matrix with entries k at
+    (target, other), over the targets [c_pos, x_pos, c_neg, x_neg] in
+    that order, times z. scipy's COO product walks its entries in input
+    order and adds each term, one multiply and one add, to an output row
+    that starts at 0.0, the order in which four unbuffered ``add.at``
+    scatters (positives by center, then by context, then negatives
+    likewise) add them, so dz is bit-identical to that scatter while no
+    (P, dim) array is ever built. Scores are computed _SCORE_CHUNK rows
+    at a time for the same reason.
     """
     z = table.values
     loss = 0.0
@@ -414,20 +488,12 @@ def unsup_loss(table: EmbeddingTable, positives: np.ndarray,
         targets += [c, x]
         others += [x, c]
         coefs += [coef, coef]
-    dz = np.zeros_like(z)
-    if targets:
-        targets = np.concatenate(targets)
-        others = np.concatenate(others)
-        coefs = np.concatenate(coefs)
-        terms = np.empty_like(coefs)
-        for j, col in enumerate(np.ascontiguousarray(z.T)):
-            # others holds the same indices as targets, which the score
-            # gathers and bincount range-check; "clip" only skips the
-            # buffered copy of `out` that mode="raise" makes
-            np.take(col, others, out=terms, mode="clip")
-            terms *= coefs
-            dz[:, j] = np.bincount(targets, weights=terms, minlength=len(z))
-    return loss, dz
+    if not targets:
+        return loss, np.zeros_like(z)
+    scatter = coo_array((np.concatenate(coefs),
+                         (np.concatenate(targets), np.concatenate(others))),
+                        shape=(len(z), len(z)))
+    return loss, scatter @ z
 
 
 # -- training ------------------------------------------------------------------------
@@ -482,16 +548,6 @@ def save_embedding(path: str, table: EmbeddingTable) -> None:
     meta = {"kind": "embedding", "node_count": table.node_count,
             "dim": table.dim, "backend": table.backend}
     fileio.write_blob(path, meta, {"values": table.values})
-
-
-def load_embedding(path: str) -> EmbeddingTable:
-    meta, arrays = fileio.read_blob(path)
-    if meta.get("kind") != "embedding":
-        raise DataError(f"{path}: not an embedding file")
-    table = EmbeddingTable(values=arrays["values"], backend=meta["backend"])
-    if table.node_count != meta["node_count"] or table.dim != meta["dim"]:
-        raise DataError(f"{path}: header does not match stored values")
-    return table
 
 
 def save_embed_model(path: str, model: GinParams | GcnEmbedParams) -> None:

@@ -4,10 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nbrattack.embed as embed_module
+from nbrattack import io as fileio
 from nbrattack.embed import (EmbedConfig, EmbeddingTable, GcnEmbedParams,
                              GinParams, WalkConfig, _batch_negatives,
-                             embedding_forward, gcn_embed_forward,
-                             gin_forward, load_embed_model, load_embedding,
+                             _WordStream, embedding_forward,
+                             gcn_embed_forward, gin_forward, load_embed_model,
                              sample_positive_walks, save_embed_model,
                              save_embedding, train_embedding, train_gin,
                              unsup_loss)
@@ -31,6 +32,17 @@ def negative_sample(g, v, count, rng):
         raise SamplingError(
             f"need {count} negatives for node {v}, only {eligible.size} eligible")
     return rng.choice(eligible, size=count, replace=False)
+
+
+def load_embedding(path):
+    """Reader for `save_embedding`'s file; no stage reads embedding.bin."""
+    meta, arrays = fileio.read_blob(path)
+    if meta.get("kind") != "embedding":
+        raise DataError(f"{path}: not an embedding file")
+    table = EmbeddingTable(values=arrays["values"], backend=meta["backend"])
+    if table.node_count != meta["node_count"] or table.dim != meta["dim"]:
+        raise DataError(f"{path}: header does not match stored values")
+    return table
 
 
 def walk_pairs_oracle(g, cfg, rng):
@@ -256,6 +268,47 @@ class TestWalks:
         assert got.dtype == want.dtype and got.shape == want.shape
         assert np.array_equal(got, want)
         assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+    def test_leaf_heavy_graph_matches_oracle(self):
+        # a random recursive tree, about half of whose nodes are leaves that
+        # a step leaves without a draw, plus one isolated node whose walks
+        # stop at the start; the default config spans several word blocks
+        n = 200
+        tree_rng = rng_from_seed(4)
+        edges = [(int(tree_rng.integers(v)), v) for v in range(1, n)]
+        g = make_graph(n + 1, edges)
+        cfg = WalkConfig()
+        got_rng, want_rng = rng_from_seed(9), rng_from_seed(9)
+        got = sample_positive_walks(g, cfg, got_rng)
+        want = walk_pairs_oracle(g, cfg, want_rng)
+        assert np.array_equal(got, want)
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
+class TestWordStream:
+    @pytest.mark.parametrize("block", [1, 7, 4096])
+    def test_matches_generator_integers(self, block):
+        # ranges near 3e9 reject about 30 % of words; d = 1 draws nothing
+        draw_rng = rng_from_seed(21)
+        ranges = np.where(draw_rng.random(20000) < 0.1, 1,
+                          draw_rng.integers(3 * 10**9 - 1000, 3 * 10**9 + 1000,
+                                            size=20000)).tolist()
+        ranges += [2, 3, 2**31, 2**32 - 1, 1, 1]
+        got_rng, want_rng = rng_from_seed(5), rng_from_seed(5)
+        stream = _WordStream(got_rng, block)
+        got = [stream.below(d) for d in ranges]
+        stream.close()
+        want = [int(want_rng.integers(d)) for d in ranges]
+        assert got == want
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+    def test_unit_ranges_draw_nothing(self):
+        rng = rng_from_seed(3)
+        before = rng.bit_generator.state
+        stream = _WordStream(rng, 16)
+        assert [stream.below(1) for _ in range(50)] == [0] * 50
+        stream.close()
+        assert rng.bit_generator.state == before
 
 
 class TestNegatives:
