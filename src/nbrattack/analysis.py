@@ -1,9 +1,10 @@
 """What kind of nodes make good attack edits?
 
 Node-level properties (feature similarity, degree, local clustering,
-reverse-kNN rank) and community-level metrics (edge expansion,
-conductance, volume, normalized cut size) are rank-correlated against
-per-candidate distortion scores with Spearman's coefficient. Ties get
+reverse-kNN rank), each one vector over all nodes, and community-level
+metrics (edge expansion, conductance, volume, normalized cut size) are
+rank-correlated against per-candidate distortion scores with Spearman's
+coefficient. Ties get
 average ranks; p-values come from the Student-t approximation
 t = r * sqrt((n-2) / (1-r^2)), with an exact permutation option for
 tiny samples.
@@ -14,38 +15,40 @@ import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.special import stdtr
 
 from .embed import EmbeddingTable
 from .errors import DataError
-from .graphs import Graph, k_hop_neighborhood
+from .graphs import Graph
 
 NODE_PROPERTIES = ("feature_similarity", "degree", "local_clustering",
                    "reverse_knn_rank")
 COMMUNITY_METRICS = ("edge_expansion", "conductance", "volume",
                      "normalized_cut")
+MIN_CANDIDATES = 3  # fewest samples Spearman's coefficient takes
 
 
 # -- node properties -----------------------------------------------------------------
 
 
-def feature_similarity(g: Graph, t: int, v: int) -> float:
-    """Jaccard similarity of the nonzero feature supports of t and v."""
-    a = set(np.flatnonzero(g.features[t]).tolist())
-    b = set(np.flatnonzero(g.features[v]).tolist())
-    if not a and not b:
-        return 1.0
-    return len(a & b) / len(a | b)
+def feature_similarity(g: Graph, t: int) -> np.ndarray:
+    """Jaccard similarity of t's nonzero feature support with each node's;
+    two empty supports count as identical (1.0)."""
+    support = (g.features != 0).astype(np.int64)
+    common = support @ support[t]
+    union = support.sum(axis=1) + support[t].sum() - common
+    return np.divide(common, union, out=np.ones(g.node_count), where=union > 0)
 
 
-def local_clustering(g: Graph, v: int) -> float:
-    """Fraction of possible links among v's neighbors that exist."""
-    nbrs = g.neighbors(v)
-    d = len(nbrs)
-    if d < 2:
-        return 0.0
-    links = int(g._neighbor_counts(nbrs)[nbrs].sum()) // 2  # each seen twice
-    return 2.0 * links / (d * (d - 1))
+def local_clustering(g: Graph) -> np.ndarray:
+    """Per node, the fraction of possible links among its neighbors that
+    exist: a row of (A @ A) * A counts each such link twice."""
+    a = g.adjacency()
+    d = np.diff(a.indptr).astype(np.int64)
+    twice_links = np.asarray((a @ a).multiply(a).sum(axis=1)).ravel()
+    return np.divide(twice_links, d * (d - 1), out=np.zeros(g.node_count),
+                     where=d >= 2)
 
 
 def _nearest(z: np.ndarray, u: int, k: int) -> np.ndarray:
@@ -69,34 +72,18 @@ def reverse_knn_ranks(g: Graph, embeddings: EmbeddingTable | None = None,
     graph neighborhood. count[v] = how many other nodes include v.
     """
     n = g.node_count
-    counts = np.zeros(n)
     if embeddings is not None:
         if embeddings.node_count != n:
             raise DataError("embedding table does not match the graph")
         kk = min(k, n - 1)
+        counts = np.zeros(n)  # row by row: blocked rows ran slower at n = 1k
         for u in range(n):
             counts[_nearest(embeddings.values, u, kk)] += 1
     else:
-        for u in range(n):
-            counts[k_hop_neighborhood(g, u, 2)] += 1
-        counts -= 1  # no node counts itself
+        # 2-hop reach is symmetric: v is in as many 2-hop hoods as its own holds
+        a_i = g.adjacency() + sp.identity(n, format="csr")
+        counts = np.diff((a_i @ a_i).indptr) - 1
     return _average_ranks(-counts)
-
-
-def node_property(g: Graph, t: int, v: int, which: str,
-                  embeddings: EmbeddingTable | None = None,
-                  knn_k: int = 100) -> float:
-    if not (0 <= t < g.node_count and 0 <= v < g.node_count):
-        raise DataError(f"node ids ({t}, {v}) out of range")
-    if which == "feature_similarity":
-        return feature_similarity(g, t, v)
-    if which == "degree":
-        return float(g.degree(v))
-    if which == "local_clustering":
-        return local_clustering(g, v)
-    if which == "reverse_knn_rank":
-        return float(reverse_knn_ranks(g, embeddings, knn_k)[v])
-    raise DataError(f"unknown node property {which!r}")
 
 
 # -- community metrics ----------------------------------------------------------------
@@ -110,7 +97,7 @@ def _cut_and_internal(g: Graph, s: np.ndarray) -> tuple[int, int]:
 
 def community_metric(g: Graph, s, which: str, corrected_ncs: bool = False
                      ) -> float:
-    s = np.unique(np.fromiter((int(x) for x in s), dtype=np.int64))
+    s = np.unique(np.fromiter(s, dtype=np.int64))
     if not s.size:
         raise DataError("community must be non-empty")
     if len(s) >= g.node_count:
@@ -163,15 +150,11 @@ def _average_ranks(vals) -> np.ndarray:
     """1-based ranks in ascending order of value; ties share the mean rank."""
     vals = np.asarray(vals, dtype=np.float64)
     order = np.argsort(vals, kind="stable")
-    ranks = np.empty(len(vals))
-    i = 0
     sv = vals[order]
-    while i < len(vals):
-        j = i
-        while j + 1 < len(vals) and sv[j + 1] == sv[i]:
-            j += 1
-        ranks[order[i:j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
+    first = np.flatnonzero(np.r_[True, sv[1:] != sv[:-1]])  # of each tie run
+    last = np.append(first[1:], len(sv)) - 1
+    ranks = np.empty(len(sv))
+    ranks[order] = np.repeat((first + last) / 2.0 + 1.0, last - first + 1)
     return ranks
 
 
@@ -230,46 +213,54 @@ class TargetCandidates:
 def correlation_study(g: Graph, per_target: list[TargetCandidates],
                       properties=NODE_PROPERTIES,
                       embeddings: EmbeddingTable | None = None,
-                      knn_k: int = 100, exact: bool = False,
-                      min_candidates: int = 3) -> list[dict]:
+                      knn_k: int = 100, exact: bool = False) -> list[dict]:
     """Spearman-correlate each property with distortion, per target, then
-    aggregate mean/std of the coefficients across targets."""
-    knn_cache = None
-    rows = []
+    aggregate mean/std of the coefficients across targets. A target with
+    fewer than MIN_CANDIDATES candidates is skipped, and so is a property
+    whose values are constant on a target."""
     names = list(properties)
+    for name in names:
+        if name not in NODE_PROPERTIES:
+            raise DataError(f"unknown node property {name!r}")
+    n = g.node_count
+    vectors = {}  # the properties that do not depend on the target
+    if "degree" in names:
+        vectors["degree"] = np.diff(g.adjacency().indptr)
+    if "local_clustering" in names:
+        vectors["local_clustering"] = local_clustering(g)
+    if "reverse_knn_rank" in names:
+        vectors["reverse_knn_rank"] = reverse_knn_ranks(g, embeddings, knn_k)
     extra_names = sorted({name for tc in per_target for name in tc.extra})
     per_property: dict[str, list[CorrelationResult]] = {
         name: [] for name in [*names, *extra_names]}
     for tc in per_target:
-        if len(tc.nodes) < min_candidates:
+        ids = np.asarray([tc.target, *tc.nodes])
+        if ids.dtype.kind not in "iu" or np.any((ids < 0) | (ids >= n)):
+            raise DataError(f"target {tc.target}: node ids must be integers "
+                            f"in [0, {n})")
+        nodes = ids[1:]
+        if len(nodes) < MIN_CANDIDATES:
             continue
-        if len(tc.nodes) != len(tc.distortions):
+        if len(nodes) != len(tc.distortions):
             raise DataError(
-                f"target {tc.target}: {len(tc.nodes)} nodes but "
+                f"target {tc.target}: {len(nodes)} nodes but "
                 f"{len(tc.distortions)} distortion values")
-        for name in names:
-            if name == "reverse_knn_rank":
-                if knn_cache is None:
-                    knn_cache = reverse_knn_ranks(g, embeddings, knn_k)
-                vals = [float(knn_cache[v]) for v in tc.nodes]
-            else:
-                vals = [node_property(g, tc.target, v, name, embeddings, knn_k)
-                        for v in tc.nodes]
+        columns = [(name, vectors[name][nodes] if name in vectors
+                    else feature_similarity(g, tc.target)[nodes])
+                   for name in names]
+        for name, vals in tc.extra.items():
+            if len(vals) != len(nodes):
+                raise DataError(
+                    f"target {tc.target}: extra property {name!r} has "
+                    f"{len(vals)} values for {len(nodes)} nodes")
+            columns.append((name, vals))
+        for name, vals in columns:
             try:
                 per_property[name].append(
                     spearman(vals, tc.distortions, exact=exact))
             except DataError:
                 continue  # constant list on this target; nothing to rank
-        for name, vals in tc.extra.items():
-            if len(vals) != len(tc.nodes):
-                raise DataError(
-                    f"target {tc.target}: extra property {name!r} has "
-                    f"{len(vals)} values for {len(tc.nodes)} nodes")
-            try:
-                per_property[name].append(
-                    spearman(vals, tc.distortions, exact=exact))
-            except DataError:
-                continue
+    rows = []
     for name in [*names, *extra_names]:
         results = per_property[name]
         if not results:

@@ -363,8 +363,7 @@ def cmd_attack(cfg: RunConfig, args) -> None:
 def cmd_evaluate(cfg: RunConfig, args) -> None:
     g = _resolve_graph(cfg)
     split = make_split(g, cfg.victim_task,
-                       SplitSpec(cfg.train_frac, cfg.val_frac, cfg.test_frac,
-                                 balanced=cfg.victim_task != "nc"),
+                       SplitSpec(cfg.train_frac, cfg.val_frac, cfg.test_frac),
                        stage_seed(cfg.seed, "split"))
     victim = train_victim(g, cfg.victim_task, split,
                           VictimConfig(kind=cfg.victim_kind,

@@ -26,7 +26,6 @@ and never touches the reward model.
 """
 from __future__ import annotations
 
-import time
 from collections import deque
 from dataclasses import dataclass
 
@@ -363,21 +362,6 @@ def infer_attack(qnet: QNetParams, g: Graph, t: int, budget: int,
         chosen.append(edit)
         cur = apply_edit(cur, edit)
     return chosen
-
-
-def inference_timer(qnet: QNetParams, g: Graph, targets, budgets,
-                    repeats: int = 3, accessible=None) -> list[dict]:
-    """Best-of-`repeats` wall-clock seconds per (target, budget)."""
-    rows = []
-    for t in targets:
-        for b in budgets:
-            best = float("inf")
-            for _ in range(repeats):
-                start = time.perf_counter()
-                infer_attack(qnet, g, int(t), int(b), accessible)
-                best = min(best, time.perf_counter() - start)
-            rows.append({"target": int(t), "budget": int(b), "seconds": best})
-    return rows
 
 
 # -- persistence ---------------------------------------------------------------------------

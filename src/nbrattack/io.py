@@ -151,13 +151,6 @@ def load_set_cover(path: str) -> tuple[int, list[frozenset], int]:
     return n, sets, b
 
 
-def save_set_cover(path: str, n: int, sets, b: int) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{n} {len(sets)} {b}\n")
-        for s in sets:
-            fh.write(" ".join(str(x) for x in sorted(s)) + "\n")
-
-
 # -- JSON helpers ----------------------------------------------------------------
 
 def write_json(path: str, obj) -> None:

@@ -157,30 +157,3 @@ class Adam:
                 self.states[name] = AdamState.init_like(p, lr=self.lr)
             out[name] = adam_update(p, grads[name], self.states[name])
         return out
-
-
-def finite_diff_check(loss_fn, param: np.ndarray, analytic_grad: np.ndarray,
-                      h: float = 1e-5) -> float:
-    """Max relative error between `analytic_grad` and central differences.
-
-    loss_fn maps a parameter array (same shape as `param`) to a scalar.
-    Relative error per coordinate is |a - n| / max(1, |a| + |n|).
-    """
-    if param.shape != analytic_grad.shape:
-        raise ValueError("param / gradient shape mismatch")
-    work = np.array(param, dtype=np.float64)
-    worst = 0.0
-    it = np.nditer(work, flags=["multi_index"])
-    for _ in it:
-        idx = it.multi_index
-        orig = work[idx]
-        work[idx] = orig + h
-        hi = float(loss_fn(work))
-        work[idx] = orig - h
-        lo = float(loss_fn(work))
-        work[idx] = orig
-        numeric = (hi - lo) / (2.0 * h)
-        a = float(analytic_grad[idx])
-        err = abs(a - numeric) / max(1.0, abs(a) + abs(numeric))
-        worst = max(worst, err)
-    return worst

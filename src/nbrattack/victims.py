@@ -42,7 +42,6 @@ class SplitSpec:
     train_frac: float = 0.1
     val_frac: float = 0.1
     test_frac: float = 0.8
-    balanced: bool = False  # forced on for lp/pnc, ignored for nc
 
     def validate(self):
         fr = (self.train_frac, self.val_frac, self.test_frac)
@@ -359,11 +358,8 @@ class AttackReport:
     cells: list[dict] = field(default_factory=list)
     timings: dict = field(default_factory=dict)
 
-    def to_json_dict(self, with_timings: bool = False) -> dict:
-        doc = {"metadata": self.metadata, "cells": self.cells}
-        if with_timings:
-            doc["timings"] = self.timings
-        return doc
+    def to_json_dict(self) -> dict:
+        return {"metadata": self.metadata, "cells": self.cells}
 
 
 def _attack_target_for(item, task: str, rng: np.random.Generator) -> int:

@@ -1,8 +1,10 @@
+import time
+
 import numpy as np
 import pytest
 from hypothesis import settings
 
-from nbrattack.dqn import _action_from_mu, _mu_forward
+from nbrattack.dqn import _action_from_mu, _mu_forward, infer_attack
 from nbrattack.errors import DataError
 from nbrattack.graphs import ADD, Graph, k_hop_neighborhood
 from nbrattack.numerics import sigmoid
@@ -65,6 +67,56 @@ def q_forward(qnet, state_vec, action_vec):
             f"state+action dim {cat.shape[0]} != merge input {qnet.w_merge.shape[0]}")
     hid = sigmoid(cat @ qnet.w_merge)
     return float(hid @ qnet.w_out)
+
+
+def finite_diff_check(loss_fn, param: np.ndarray, analytic_grad: np.ndarray,
+                      h: float = 1e-5) -> float:
+    """Max relative error between `analytic_grad` and central differences.
+
+    loss_fn maps a parameter array (same shape as `param`) to a scalar.
+    Relative error per coordinate is |a - n| / max(1, |a| + |n|).
+    """
+    if param.shape != analytic_grad.shape:
+        raise ValueError("param / gradient shape mismatch")
+    work = np.array(param, dtype=np.float64)
+    worst = 0.0
+    it = np.nditer(work, flags=["multi_index"])
+    for _ in it:
+        idx = it.multi_index
+        orig = work[idx]
+        work[idx] = orig + h
+        hi = float(loss_fn(work))
+        work[idx] = orig - h
+        lo = float(loss_fn(work))
+        work[idx] = orig
+        numeric = (hi - lo) / (2.0 * h)
+        a = float(analytic_grad[idx])
+        err = abs(a - numeric) / max(1.0, abs(a) + abs(numeric))
+        worst = max(worst, err)
+    return worst
+
+
+def inference_timer(qnet, g, targets, budgets, repeats=3, accessible=None):
+    """Best-of-`repeats` wall-clock seconds of infer_attack per
+    (target, budget)."""
+    rows = []
+    for t in targets:
+        for b in budgets:
+            best = float("inf")
+            for _ in range(repeats):
+                start = time.perf_counter()
+                infer_attack(qnet, g, int(t), int(b), accessible)
+                best = min(best, time.perf_counter() - start)
+            rows.append({"target": int(t), "budget": int(b), "seconds": best})
+    return rows
+
+
+def save_set_cover(path, n, sets, b):
+    """Write a set-cover instance in the format io.load_set_cover reads."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(f"{n} {len(sets)} {b}\n")
+        for s in sets:
+            fh.write(" ".join(str(x) for x in sorted(s)) + "\n")
 
 
 @pytest.fixture

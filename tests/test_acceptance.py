@@ -21,8 +21,7 @@ from nbrattack.analysis import (TargetCandidates, community_metric,
 from nbrattack.cli import main as cli_main
 from nbrattack.distortion import embedding_distortion, graph_pair_distortion
 from nbrattack.dqn import (AttackEpisodeConfig, QNetParams, ReplayTuple,
-                           _fit_batch, infer_attack, inference_timer,
-                           train_dqn)
+                           _fit_batch, infer_attack, train_dqn)
 from nbrattack.embed import (EmbeddingTable, GinParams, _gin_backward,
                              _gin_forward_cached, EmbedConfig, WalkConfig,
                              embedding_forward, gin_forward, train_embedding,
@@ -30,7 +29,7 @@ from nbrattack.embed import (EmbeddingTable, GinParams, _gin_backward,
 from nbrattack.graphs import (ADD, DELETE, EdgeEdit, Graph, apply_edit,
                               apply_edits, k_hop_neighborhood,
                               neighborhood_distortion)
-from nbrattack.numerics import finite_diff_check, rng_from_seed, stage_seed
+from nbrattack.numerics import rng_from_seed, stage_seed
 from nbrattack.oracles import (SetCoverInstance, brute_force_max_distortion,
                                greedy_attack, has_cover, random_attack,
                                reduction_graph, two_hop_reach)
@@ -39,7 +38,8 @@ from nbrattack.victims import (SplitSpec, VictimConfig, _init_params,
                                _task_loss, _victim_backward, drop_in_accuracy,
                                evaluate_batch, evaluate_target, make_split,
                                train_victim, victim_forward)
-from tests.conftest import action_repr, q_forward, state_repr
+from tests.conftest import (action_repr, finite_diff_check, inference_timer,
+                            q_forward, state_repr)
 
 
 def _verdict(name: str, ok: bool, detail: str) -> None:
@@ -619,7 +619,7 @@ def test_rank_correlation_and_community_analysis():
         g_study, apply_edit(g_study, EdgeEdit(0, h, ADD)), 0, 2)
         for h in hubs]
     assert all(b > a for a, b in zip(dists, dists[1:]))
-    clust = [local_clustering(g_study, h) for h in hubs]
+    clust = local_clustering(g_study)[hubs]
     assert all(b > a for a, b in zip(clust, clust[1:]))
     rows = correlation_study(
         g_study, [TargetCandidates(target=0, nodes=hubs, distortions=dists)],

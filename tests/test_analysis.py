@@ -3,16 +3,18 @@ import itertools
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nbrattack.analysis import (COMMUNITY_METRICS, NODE_PROPERTIES,
                                 TargetCandidates,
                                 _average_ranks, community_metric,
                                 correlation_study, embedding_community,
                                 feature_similarity, local_clustering,
-                                node_property, reverse_knn_ranks, spearman)
+                                reverse_knn_ranks, spearman)
 from nbrattack.embed import EmbeddingTable
 from nbrattack.errors import DataError
-from nbrattack.graphs import Graph, k_hop_neighborhood
+from nbrattack.graphs import Graph, apply_edit, flip_edit, k_hop_neighborhood
 from nbrattack.numerics import rng_from_seed
 from tests.conftest import make_graph
 
@@ -23,6 +25,55 @@ def nearest_by_lexsort(z, u, k):
     d = np.linalg.norm(z - z[u], axis=1)
     d[u] = np.inf
     return np.lexsort((np.arange(len(z)), d))[:k]
+
+
+# Per-node references for the property vectors of analysis, which compute
+# every node at once with array operations.
+
+
+def feature_similarity_at(g, t, v):
+    """Jaccard similarity of the nonzero feature supports of t and v."""
+    a = set(np.flatnonzero(g.features[t]).tolist())
+    b = set(np.flatnonzero(g.features[v]).tolist())
+    if not a and not b:
+        return 1.0
+    return len(a & b) / len(a | b)
+
+
+def local_clustering_at(g, v):
+    """Fraction of possible links among v's neighbors that exist."""
+    nbrs = g.neighbors(v).tolist()
+    d = len(nbrs)
+    if d < 2:
+        return 0.0
+    links = sum(1 for a, b in itertools.combinations(nbrs, 2)
+                if g.has_edge(a, b))
+    return 2.0 * links / (d * (d - 1))
+
+
+def two_hop_containment(g):
+    """count[v] = how many other nodes hold v in their 2-hop neighborhood,
+    by one BFS per node."""
+    counts = np.zeros(g.node_count)
+    for u in range(g.node_count):
+        counts[k_hop_neighborhood(g, u, 2)] += 1
+    return counts - 1  # no node counts itself
+
+
+def average_ranks_loop(vals):
+    """Average ranks by walking each run of tied sorted values."""
+    vals = np.asarray(vals, dtype=np.float64)
+    order = np.argsort(vals, kind="stable")
+    ranks = np.empty(len(vals))
+    i = 0
+    sv = vals[order]
+    while i < len(vals):
+        j = i
+        while j + 1 < len(vals) and sv[j + 1] == sv[i]:
+            j += 1
+        ranks[order[i:j + 1]] = (i + j) / 2.0 + 1.0
+        i = j + 1
+    return ranks
 
 
 def tie_heavy_tables():
@@ -41,10 +92,11 @@ class TestNodeProperties:
                           [0.0, 0.0, 0.0],
                           [1.0, 1.0, 0.0]])
         g = Graph(4, [(0, 1)], feats)
-        assert feature_similarity(g, 0, 1) == pytest.approx(1 / 3)
-        assert feature_similarity(g, 0, 3) == 1.0
-        assert feature_similarity(g, 0, 2) == 0.0
-        assert feature_similarity(g, 2, 2) == 1.0  # empty vs empty
+        sim = feature_similarity(g, 0)
+        assert sim[1] == pytest.approx(1 / 3)
+        assert sim[3] == 1.0
+        assert sim[2] == 0.0
+        assert feature_similarity(g, 2)[2] == 1.0  # empty vs empty
 
     def test_local_clustering_matches_triangle_count(self):
         rng = rng_from_seed(0)
@@ -53,25 +105,65 @@ class TestNodeProperties:
             edges = [(i, j) for i in range(n) for j in range(i + 1, n)
                      if rng.random() < 0.35]
             g = make_graph(n, edges, seed=trial)
+            got = local_clustering(g)
             for v in range(n):
                 nbrs = sorted(g.neighbors(v))
                 d = len(nbrs)
                 tri = sum(1 for a, b in itertools.combinations(nbrs, 2)
                           if g.has_edge(a, b))
                 want = 0.0 if d < 2 else tri / (d * (d - 1) / 2)
-                assert local_clustering(g, v) == pytest.approx(want)
+                assert got[v] == pytest.approx(want)
 
     def test_clustering_extremes(self, triangle_plus):
-        assert local_clustering(triangle_plus, 0) == 1.0  # in a triangle
-        assert local_clustering(triangle_plus, 3) == 0.0  # degree 1
-        assert local_clustering(triangle_plus, 4) == 0.0  # isolated
+        clustering = local_clustering(triangle_plus)
+        assert clustering[0] == 1.0  # in a triangle
+        assert clustering[3] == 0.0  # degree 1
+        assert clustering[4] == 0.0  # isolated
 
     def test_degree_property(self, triangle_plus):
-        assert node_property(triangle_plus, 0, 2, "degree") == 3.0
+        # candidate degrees are 2, 3, 1: distortions in that order rank
+        # identically, reversed they rank oppositely
+        for dists, want in (([2.0, 3.0, 1.0], 1.0), ([2.0, 1.0, 3.0], -1.0)):
+            rows = correlation_study(
+                triangle_plus, [TargetCandidates(target=0, nodes=[1, 2, 3],
+                                                 distortions=dists)],
+                properties=("degree",))
+            assert rows[0]["mean_coefficient"] == want
 
     def test_unknown_property(self, triangle_plus):
-        with pytest.raises(DataError):
-            node_property(triangle_plus, 0, 1, "pagerank")
+        # rejected before any target is read, even when none is usable
+        with pytest.raises(DataError, match="pagerank"):
+            correlation_study(triangle_plus, [], properties=("pagerank",))
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_vectors_match_per_node_oracles(self, data):
+        # root and derived graphs with isolated nodes and all-zero feature
+        # rows; the comparison is exact
+        n = data.draw(st.integers(1, 12))
+        all_pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        isolated = data.draw(st.sets(st.integers(0, n - 1)))
+        edges = []
+        if all_pairs:
+            edges = [p for p in data.draw(st.lists(st.sampled_from(all_pairs),
+                                                   unique=True))
+                     if not isolated.intersection(p)]
+        support = data.draw(st.lists(st.lists(st.booleans(), min_size=4,
+                                              max_size=4),
+                                     min_size=n, max_size=n))
+        feats = np.array(support) * np.array([1.0, -2.0, 0.5, 3.0])
+        g = Graph(n, edges, feats)
+        if all_pairs:
+            for pair in data.draw(st.lists(st.sampled_from(all_pairs),
+                                           max_size=3)):
+                g = apply_edit(g, flip_edit(g, *pair))
+        for t in range(n):
+            assert feature_similarity(g, t).tolist() == [
+                feature_similarity_at(g, t, v) for v in range(n)]
+        assert local_clustering(g).tolist() == [
+            local_clustering_at(g, v) for v in range(n)]
+        assert np.array_equal(reverse_knn_ranks(g),
+                              average_ranks_loop(-two_hop_containment(g)))
 
 
 class TestReverseKnn:
@@ -82,7 +174,7 @@ class TestReverseKnn:
             for v in set(k_hop_neighborhood(triangle_plus, u, 2).tolist()) - {u}:
                 counts[v] += 1
         # rank 1 = most-contained node; recompute ranks from raw counts
-        want = _average_ranks(-counts)
+        want = average_ranks_loop(-counts)
         assert np.array_equal(ranks, want)
 
     def test_embedding_variant_hand_case(self):
@@ -201,6 +293,12 @@ class TestRanks:
             assert np.allclose(_average_ranks(vals),
                                scipy.stats.rankdata(vals, method="average"))
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.sampled_from([-1.0, -0.0, 0.0, 0.5, 2.0, np.inf,
+                                     np.nan]), max_size=30))
+    def test_matches_while_loop_oracle_on_ties(self, vals):
+        assert np.array_equal(_average_ranks(vals), average_ranks_loop(vals))
+
 
 class TestSpearman:
     def test_matches_scipy_on_random_lists(self):
@@ -306,6 +404,17 @@ class TestCorrelationStudy:
                                        distortions=[0.1, 0.2])]
         with pytest.raises(DataError):
             correlation_study(small_sbm, per_target, properties=("degree",))
+
+    @pytest.mark.parametrize("target,nodes", [
+        (12, [1, 2, 3]), (-1, [1, 2, 3]), (0, [1, 2, 12]), (0, [1, -1, 3]),
+        (-1, [1, 2]), (0, [1, 2.5, 3])])
+    def test_node_ids_out_of_range(self, small_sbm, target, nodes):
+        # a negative id must not wrap around, nor a fractional one truncate,
+        # under array indexing
+        per_target = [TargetCandidates(target=target, nodes=nodes,
+                                       distortions=[0.1, 0.2, 0.3][:len(nodes)])]
+        with pytest.raises(DataError, match="node ids"):
+            correlation_study(small_sbm, per_target)
 
     def test_all_default_properties_run(self, small_sbm):
         rng = rng_from_seed(5)

@@ -8,17 +8,18 @@ from nbrattack import graphs as graphs_mod
 from nbrattack.dqn import (AttackEpisodeConfig, QNetParams, ReplayTuple,
                            _episode_candidates, _mu_backward, _mu_forward,
                            _score_candidates, epsilon_schedule, infer_attack,
-                           inference_timer, load_attacker, save_attacker,
-                           step_reward, train_dqn)
+                           load_attacker, save_attacker, step_reward,
+                           train_dqn)
 from nbrattack.distortion import graph_pair_distortion
 from nbrattack.embed import GinParams
 from nbrattack.errors import DataError
 from nbrattack.graphs import (ADD, DELETE, EdgeEdit, Graph, apply_edit,
                               candidate_edits, flip_edit, k_hop_neighborhood)
-from nbrattack.numerics import finite_diff_check, rng_from_seed
+from nbrattack.numerics import rng_from_seed
 from nbrattack.sbm import generate_sbm
-from tests.conftest import (action_repr, make_graph, q_forward,
-                            score_candidates_loop, state_repr)
+from tests.conftest import (action_repr, finite_diff_check, inference_timer,
+                            make_graph, q_forward, score_candidates_loop,
+                            state_repr)
 
 
 def small_cfg(**kw):

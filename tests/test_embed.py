@@ -13,9 +13,8 @@ from nbrattack.embed import (EmbedConfig, EmbeddingTable, GcnEmbedParams,
                              save_embedding, train_embedding, train_gin,
                              unsup_loss)
 from nbrattack.errors import DataError, SamplingError
-from nbrattack.numerics import (finite_diff_check, neg_log_sigmoid,
-                                rng_from_seed, sigmoid)
-from tests.conftest import make_graph
+from nbrattack.numerics import neg_log_sigmoid, rng_from_seed, sigmoid
+from tests.conftest import finite_diff_check, make_graph
 
 
 def negative_sample(g, v, count, rng):

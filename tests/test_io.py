@@ -5,8 +5,8 @@ from nbrattack.errors import DataError
 from nbrattack.io import (load_edge_list, load_features, load_graph,
                           load_labels, load_set_cover, read_blob, read_json,
                           save_edge_list, save_features, save_labels,
-                          save_set_cover, write_blob, write_json)
-from tests.conftest import make_graph
+                          write_blob, write_json)
+from tests.conftest import make_graph, save_set_cover
 
 
 class TestEdgeList:

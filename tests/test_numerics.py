@@ -5,10 +5,10 @@ from hypothesis import strategies as st
 
 from nbrattack.errors import TrainingError
 from nbrattack.graphs import Graph
-from nbrattack.numerics import (Adam, AdamState, adam_update,
-                                finite_diff_check, gcn_backward, gcn_forward,
-                                neg_log_sigmoid, rng_from_seed, sigmoid,
-                                stage_seed, xavier_uniform)
+from nbrattack.numerics import (Adam, AdamState, adam_update, gcn_backward,
+                                gcn_forward, neg_log_sigmoid, rng_from_seed,
+                                sigmoid, stage_seed, xavier_uniform)
+from tests.conftest import finite_diff_check
 
 
 def adam_oracle(theta, grads, lr=0.01, b1=0.9, b2=0.999, eps=1e-8):
