@@ -10,8 +10,10 @@ Two scorers give the distortion of every single flip (t, v) of one
 target, in ``candidate_edits`` order:
 
 - ``single_flip_distortions`` splices each flipped graph and re-embeds
-  it in full. It is the re-embed-every-candidate baseline that
-  ``greedy_attack`` runs, and the reference for the batched scorer.
+  it in full. It is the exact scorer: the reference for the batched
+  one, what ``greedy_attack`` runs for a callable (retraining) model,
+  and what a frozen-model greedy re-runs on the few flips that the
+  batched scorer puts within rounding of its maximum.
 - ``flip_distortions`` patches one base forward (``flip_base``) instead,
   for all candidates of a chunk at once. Both backends compute each
   layer as ``lin_i = P_i X_i + b_i`` and ``H_i = row_map_i(lin_i)``, with
@@ -24,8 +26,12 @@ target, in ``candidate_edits`` order:
   row) arrays that gather over the CSR and add up by a sorted segment
   sum, so no flipped graph is spliced and no candidate runs a full
   forward. The distortion then reads t's patched row and the patched
-  rows of both hoods; each perturbed hood comes from a BFS on an
-  ``apply_edit`` overlay. ``flip_tables`` gives the patched full tables.
+  rows of both hoods. The perturbed hoods come from
+  ``graphs.flip_neighborhoods``: CSR row gathers, one per hop, for all
+  added edges at once, and a BFS on an ``apply_edit`` overlay only for
+  each of the ~deg(t) deletions. ``analyze`` and each step of a
+  frozen-model ``greedy_attack`` run it. ``flip_tables`` gives the
+  patched full tables.
 
 The DQN reward reads the two hoods its episode chain already holds.
 """
@@ -40,9 +46,9 @@ from .embed import (EmbeddingTable, GcnEmbedParams, GinParams,
                     _gcn_embed_forward_cached, _gin_forward_cached,
                     embedding_forward)
 from .errors import DataError
-from .graphs import (ADD, DELETE, EdgeEdit, Graph, _self_loop_structure,
-                     apply_edit, candidate_edits, flip_edit,
-                     k_hop_neighborhood)
+from .graphs import (ADD, DELETE, EdgeEdit, Graph, _row_entries,
+                     _self_loop_structure, apply_edit, candidate_edits,
+                     flip_edit, flip_neighborhoods, k_hop_neighborhood)
 from .numerics import relu
 
 # Candidates that flip_distortions and flip_tables patch at once. The
@@ -225,14 +231,6 @@ def _gcn_delta_p(indptr, indices, t: int, others: np.ndarray,
             np.concatenate([value, value[mirror]]))
 
 
-def _row_entries(indptr, rows) -> tuple[np.ndarray, np.ndarray]:
-    """The positions in a CSR of the entries of `rows`, row after row, and
-    for each, the index in `rows` of the row it belongs to."""
-    starts, counts = indptr[rows], indptr[rows + 1] - indptr[rows]
-    of = np.repeat(np.arange(rows.size), counts)
-    return of, np.arange(of.size) + (starts - np.cumsum(counts) + counts)[of]
-
-
 def _find(keys, want) -> tuple[np.ndarray, np.ndarray]:
     """For each of `want`, its slot in the sorted `keys` and whether the
     key there is it."""
@@ -240,10 +238,11 @@ def _find(keys, want) -> tuple[np.ndarray, np.ndarray]:
     return at, keys[at] == want
 
 
-def _flip_signs(g: Graph, t: int) -> tuple[np.ndarray, np.ndarray]:
+def _flip_signs(g: Graph, t: int, accessible=None
+                ) -> tuple[np.ndarray, np.ndarray]:
     """``candidate_edits`` of t, and +1 for each flip that adds an edge,
     -1 for each that deletes one."""
-    others = candidate_edits(g, t)
+    others = candidate_edits(g, t, accessible)
     linked = np.zeros(g.node_count, dtype=bool)
     linked[g.neighbors(t)] = True
     return others, np.where(linked[others], -1.0, 1.0)
@@ -287,32 +286,31 @@ def _patch_rows(base: FlipBase, t: int, others: np.ndarray,
     return keys, out
 
 
-def flip_distortions(base: FlipBase, t: int, k: int, n_orig
+def flip_distortions(base: FlipBase, t: int, k: int, n_orig, accessible=None
                      ) -> tuple[np.ndarray, np.ndarray]:
     """(others, values): t's distortion from `n_orig` for each single flip
-    (t, others[c]) of ``base.graph``, in ``candidate_edits`` order, the
-    values of ``single_flip_distortions`` up to rounding. Raises
-    NoCandidatesError when t has none."""
+    (t, others[c]) of ``base.graph``, in ``candidate_edits`` order over
+    `accessible`, the values of ``single_flip_distortions`` up to rounding.
+    Raises NoCandidatesError when t has none."""
     g, z = base.graph, base.table.values
     n = g.node_count
-    others, signs = _flip_signs(g, t)
+    others, signs = _flip_signs(g, t, accessible)
     n_orig = np.asarray(n_orig, dtype=np.int64)
     n_orig = n_orig[n_orig != t]
+    hood = k_hop_neighborhood(g, t, k)
     values = np.empty(others.size)
     for lo in range(0, others.size, _FLIP_CHUNK):
         vs, ss = others[lo:lo + _FLIP_CHUNK], signs[lo:lo + _FLIP_CHUNK]
         m = vs.size
         keys, rows = _patch_rows(base, t, vs, ss)
         # segment 2c reads n_orig in flip c's table, 2c + 1 its own hood
-        hoods = []
-        for v, sign in zip(vs.tolist(), ss.tolist()):
-            edit = EdgeEdit(t, v, ADD if sign > 0 else DELETE)
-            hood = k_hop_neighborhood(apply_edit(g, edit), t, k)
-            hoods += [n_orig, hood[hood != t]]
-        sizes = np.array([h.size for h in hoods])
-        seg = np.repeat(np.arange(2 * m), sizes)
+        flipped = flip_neighborhoods(g, t, k, vs, hood)
+        flipped = flipped[flipped % n != t]
+        seg = np.concatenate([np.repeat(np.arange(0, 2 * m, 2), n_orig.size),
+                              flipped // n * 2 + 1])
+        sizes = np.bincount(seg, minlength=2 * m)
         cand = seg // 2
-        nodes = np.concatenate(hoods)
+        nodes = np.concatenate([np.tile(n_orig, m), flipped % n])
         pts = z[nodes]
         at, hit = _find(keys, cand * n + nodes)
         pts[hit] = rows[at[hit]]

@@ -18,14 +18,23 @@ from math import comb
 import numpy as np
 
 from . import io as fileio
-from .distortion import single_flip_distortions
+from .distortion import (flip_base, flip_distortions,
+                         single_flip_distortions)
+from .embed import GcnEmbedParams, GinParams
 from .errors import DataError, SizeCapError
 from .graphs import (EdgeEdit, Graph, _jaccard_distance, apply_edit,
                      apply_edits, candidate_edits, flip_edit,
-                     k_hop_neighborhood)
+                     flip_neighborhoods, k_hop_neighborhood)
 from .numerics import rng_from_seed
 
 BRUTE_FORCE_CAP = 10 ** 5
+
+# Greedy re-scores exactly every flip whose batched distortion lies within
+# this of the batched maximum. The batched values stay within 1e-12 of the
+# exact ones (tests/test_distortion.py checks that bound), so the first
+# exact maximum is always among them: its batched value is at least the
+# batched maximum less 2e-12. The margin leaves room for larger embeddings.
+_TIE_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -121,14 +130,18 @@ def brute_force_max_distortion(g: Graph, t: int, budget: int, k: int = 2,
 def greedy_attack(g: Graph, t: int, budget: int, k: int = 2,
                   embed_model=None, objective: str = "embedding",
                   accessible=None) -> list[EdgeEdit]:
-    """Commit the best single edit per step, re-scoring every candidate;
-    ties go to the first candidate in ``candidate_edits`` order.
+    """Commit the best single edit per step, scoring every candidate; ties
+    go to the first candidate in ``candidate_edits`` order.
 
     objective="embedding": maximizes cumulative embedding distortion
-    against the starting graph with ``single_flip_distortions``, which
-    re-embeds each candidate graph with `embed_model` (frozen parameters,
-    or a callable graph -> table for full retraining). objective="graph":
-    maximizes the k-hop Jaccard distance instead and needs no embeddings.
+    against the starting graph. With frozen GIN or GCN parameters, each
+    step runs one patched forward (``flip_base`` and ``flip_distortions``)
+    over all candidates, then re-embeds only those within ``_TIE_TOL`` of
+    the batched maximum with ``single_flip_distortions``, so the choice is
+    the exact first maximum, as if every candidate had been re-embedded.
+    A callable graph -> table (full retraining) re-embeds every candidate.
+    objective="graph": maximizes the k-hop Jaccard distance instead and
+    needs no embeddings.
     """
     if budget < 1:
         raise DataError(f"greedy budget must be >= 1, got {budget}")
@@ -136,26 +149,39 @@ def greedy_attack(g: Graph, t: int, budget: int, k: int = 2,
         raise DataError(f"unknown objective {objective!r}")
     if objective == "embedding" and embed_model is None:
         raise DataError("embedding objective requires an embedding model")
+    frozen = isinstance(embed_model, (GinParams, GcnEmbedParams))
     n_start = k_hop_neighborhood(g, t, k)
     chosen: list[EdgeEdit] = []
     cur = g
     for _ in range(budget):
-        if objective == "embedding":
-            scored = single_flip_distortions(embed_model, cur, t, k, n_start,
-                                             accessible)
+        if objective == "graph":
+            others, values = _jaccard_flips(cur, t, k, n_start, accessible)
+            edit = flip_edit(cur, t, others[np.argmax(values)])  # first max
+            cur = apply_edit(cur, edit)
         else:
-            scored = _jaccard_flips(cur, t, k, n_start, accessible)
-        edit, cur = max(scored, key=lambda row: row[-1])[:2]  # first maximum
+            pool = accessible
+            if frozen:
+                others, values = flip_distortions(flip_base(embed_model, cur),
+                                                  t, k, n_start, accessible)
+                pool = others[values >= values.max() - _TIE_TOL]
+            scored = single_flip_distortions(embed_model, cur, t, k, n_start,
+                                             pool)
+            edit, cur = max(scored, key=lambda row: row[-1])[:2]  # first max
         chosen.append(edit)
     return chosen
 
 
-def _jaccard_flips(g: Graph, t: int, k: int, n_start, accessible):
-    """(edit, g_pert, k-hop Jaccard distance from n_start) per single flip."""
-    for v in candidate_edits(g, t, accessible):  # raises if none
-        e = flip_edit(g, t, v)
-        nxt = apply_edit(g, e)
-        yield e, nxt, _jaccard_distance(n_start, k_hop_neighborhood(nxt, t, k))
+def _jaccard_flips(g: Graph, t: int, k: int, n_start, accessible
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """(others, k-hop Jaccard distance from n_start) per single flip
+    (t, others[c]), in ``candidate_edits`` order."""
+    others = candidate_edits(g, t, accessible)  # raises if none
+    cand, nodes = np.divmod(flip_neighborhoods(g, t, k, others), g.node_count)
+    in_start = np.zeros(g.node_count, dtype=bool)
+    in_start[n_start] = True
+    common = np.bincount(cand, in_start[nodes], minlength=others.size)
+    union = n_start.size + np.bincount(cand, minlength=others.size) - common
+    return others, 1.0 - common / union
 
 
 def random_attack(g: Graph, t: int, budget: int, seed,

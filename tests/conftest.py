@@ -5,9 +5,10 @@ import pytest
 from hypothesis import settings
 
 from nbrattack.dqn import _action_from_mu, _mu_forward, infer_attack
+from nbrattack.embed import GcnEmbedParams, GinParams
 from nbrattack.errors import DataError
 from nbrattack.graphs import ADD, Graph, k_hop_neighborhood
-from nbrattack.numerics import sigmoid
+from nbrattack.numerics import rng_from_seed, sigmoid
 
 # Property tests draw the same examples on every run, so two runs of the
 # suite (say, before and after a change) test the same inputs.
@@ -19,6 +20,18 @@ def make_graph(n, edges, feature_dim=2, labels=None, seed=0):
     rng = np.random.default_rng(seed)
     features = rng.normal(size=(n, feature_dim))
     return Graph(n, edges, features, labels)
+
+
+def random_model(backend, n, layers, seed):
+    """GIN or GCN embedding parameters; GIN gets a nonzero eps per layer,
+    so the diagonal of each layer's propagation matrix differs."""
+    rng = rng_from_seed(seed)
+    if backend == "gcn":
+        return GcnEmbedParams.init(n, 4, layers, rng)
+    model = GinParams.init(n, 4, layers, rng)
+    for lay in model.layers:
+        lay.eps = np.asarray(rng.uniform(-0.5, 0.5))
+    return model
 
 
 # Q-function reference pieces, one forward per call. They are the oracles

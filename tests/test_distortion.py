@@ -8,14 +8,14 @@ from nbrattack.distortion import (embedding_distortion, flip_base,
                                   flip_distortions, flip_tables,
                                   graph_pair_distortion, mean_l2_to_set,
                                   single_flip_distortions)
-from nbrattack.embed import (EmbeddingTable, GcnEmbedParams, GinParams,
-                             embedding_forward, gin_forward)
+from nbrattack.embed import (EmbeddingTable, GinParams, embedding_forward,
+                             gin_forward)
 from nbrattack.errors import DataError, NoCandidatesError
 from nbrattack.graphs import (ADD, EdgeEdit, apply_edit, candidate_edits,
                               flip_edit, k_hop_neighborhood)
 from nbrattack.numerics import rng_from_seed
 from nbrattack.sbm import generate_sbm
-from tests.conftest import make_graph
+from tests.conftest import make_graph, random_model
 
 
 def table_from(values):
@@ -149,18 +149,6 @@ class TestSingleFlipDistortions:
         assert [g for _, g, _, _ in rows] == seen
 
 
-def random_model(backend, n, layers, seed):
-    """GIN or GCN embedding parameters; GIN gets a nonzero eps per layer,
-    so the diagonal of each layer's propagation matrix differs."""
-    rng = rng_from_seed(seed)
-    if backend == "gcn":
-        return GcnEmbedParams.init(n, 4, layers, rng)
-    model = GinParams.init(n, 4, layers, rng)
-    for lay in model.layers:
-        lay.eps = np.asarray(rng.uniform(-0.5, 0.5))
-    return model
-
-
 def assert_matches_reference(model, g, t, k):
     """flip_distortions against single_flip_distortions on one target:
     candidate order, each value to 1e-12, and the argmax wherever the
@@ -237,6 +225,21 @@ class TestFlipDistortions:
                     want = embedding_forward(model, apply_edit(small_sbm, edit))
                     assert z_pert.backend == want.backend
                     assert np.abs(z_pert.values - want.values).max() <= 1e-12
+
+    @pytest.mark.parametrize("backend", ["gin", "gcn"])
+    def test_accessible_restricts_candidates(self, backend, small_sbm):
+        model = random_model(backend, small_sbm.node_count, 2, 3)
+        n_orig = k_hop_neighborhood(small_sbm, 3, 2)
+        accessible = [9, 3, 1, 9, 4]
+        others, got = flip_distortions(flip_base(model, small_sbm), 3, 2,
+                                       n_orig, accessible)
+        rows = list(single_flip_distortions(model, small_sbm, 3, 2, n_orig,
+                                            accessible))
+        assert others.tolist() == [1, 4, 9]
+        assert [flip_edit(small_sbm, 3, v) for v in others] == \
+            [e for e, _, _, _ in rows]
+        want = np.array([value for _, _, _, value in rows])
+        assert np.abs(got - want).max() <= 1e-12
 
     def test_no_candidates(self):
         g = make_graph(1, [])

@@ -10,8 +10,9 @@ from hypothesis import strategies as st
 from nbrattack.errors import DataError, NoCandidatesError
 from nbrattack.graphs import (ADD, DELETE, EdgeEdit, Graph, apply_edit,
                               apply_edits, candidate_edits, flip_edit,
-                              connected_components, graph_distance,
-                              k_hop_neighborhood, largest_connected_component,
+                              connected_components, flip_neighborhoods,
+                              graph_distance, k_hop_neighborhood,
+                              largest_connected_component,
                               neighborhood_distortion)
 from tests.conftest import make_graph
 
@@ -381,6 +382,53 @@ class TestCandidateEdits:
         got = [flip_edit(g, t, v) for v in others]
         assert got == want
         assert all(type(e.u) is int and type(e.v) is int for e in got)
+
+
+class TestFlipNeighborhoods:
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_match_overlay_oracle(self, data):
+        # roots and derived graphs, spliced or not; any subset of the
+        # candidates, with t's neighborhood passed in or found inside
+        n = data.draw(st.integers(2, 12))
+        all_pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        g = make_graph(n, data.draw(st.lists(st.sampled_from(all_pairs),
+                                             unique=True)))
+        for pair in data.draw(st.lists(st.sampled_from(all_pairs),
+                                       max_size=6)):
+            g = apply_edit(g, flip_edit(g, *pair))
+        if data.draw(st.booleans()):
+            g.adjacency()
+        t = data.draw(st.integers(0, n - 1))
+        k = data.draw(st.integers(0, 4))
+        pool = candidate_edits(g, t)
+        others = np.array(sorted(data.draw(st.sets(st.sampled_from(
+            pool.tolist()), min_size=1))), dtype=np.int64)
+        hood = k_hop_neighborhood(g, t, k) if data.draw(st.booleans()) else None
+        keys = flip_neighborhoods(g, t, k, others, hood)
+        assert keys.dtype == np.int64
+        assert np.array_equal(keys, np.unique(keys))
+        cand, nodes = np.divmod(keys, n)
+        for c, v in enumerate(others.tolist()):
+            want = khop_oracle(apply_edit(g, flip_edit(g, t, v)), t, k)
+            assert frozenset(nodes[cand == c].tolist()) == want
+
+    def test_adds_need_no_overlay(self, monkeypatch):
+        # a path 0 - 1 - 2 - 3 - 4: only the deletion (0, 1) derives a graph
+        from nbrattack import graphs as graphs_mod
+        g = make_graph(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
+        derived = []
+
+        def counting(graph, edit):
+            derived.append(edit)
+            return apply_edit(graph, edit)
+
+        monkeypatch.setattr(graphs_mod, "apply_edit", counting)
+        keys = flip_neighborhoods(g, 0, 2, np.arange(1, 5))
+        assert derived == [EdgeEdit(0, 1, DELETE)]
+        cand, nodes = np.divmod(keys, 5)
+        assert [nodes[cand == c].tolist() for c in range(4)] == \
+            [[0], [0, 1, 2, 3], [0, 1, 2, 3, 4], [0, 1, 2, 3, 4]]
 
 
 class TestSparseViews:

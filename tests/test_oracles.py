@@ -2,7 +2,12 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from nbrattack import distortion as distortion_mod
+from nbrattack import oracles as oracles_mod
+from nbrattack.distortion import single_flip_distortions
 from nbrattack.embed import GinParams, embedding_forward
 from nbrattack.errors import DataError, SizeCapError
 from nbrattack.graphs import (ADD, DELETE, EdgeEdit, apply_edit,
@@ -11,7 +16,7 @@ from nbrattack.numerics import rng_from_seed
 from nbrattack.oracles import (SetCoverInstance, brute_force_max_distortion,
                                degree_attack, greedy_attack, has_cover,
                                random_attack, reduction_graph, two_hop_reach)
-from tests.conftest import make_graph
+from tests.conftest import make_graph, random_model
 
 
 def khop_set(g, v, k):
@@ -268,6 +273,147 @@ class TestGreedy:
         for e in edits:
             other = e.v if e.u == 0 else e.u
             assert other in {1, 2}
+
+
+def stepwise_embedding_greedy(model, g, t, budget, k, accessible=None):
+    """Reference greedy: each step re-embeds every flipped graph and keeps
+    the first flip with the largest distortion against the start graph."""
+    n_start = k_hop_neighborhood(g, t, k)
+    cur = g
+    chosen = []
+    for _ in range(budget):
+        best_e, best_v = None, -np.inf
+        for v in candidate_edits(cur, t, accessible):
+            e = flip_edit(cur, t, v)
+            pert = apply_edit(cur, e)
+            z = embedding_forward(model, pert).values
+
+            def mean_dist(nodes):
+                others = [x for x in nodes if x != t]
+                if not others:
+                    return 0.0
+                return float(np.mean([np.linalg.norm(z[x] - z[t])
+                                      for x in others]))
+
+            value = mean_dist(n_start) - mean_dist(k_hop_neighborhood(pert, t, k))
+            if value > best_v:
+                best_e, best_v = e, value
+        chosen.append(best_e)
+        cur = apply_edit(cur, best_e)
+    return chosen
+
+
+def exact_greedy(model, g, t, budget, k):
+    """Reference greedy over the exact scorer: each step keeps the first
+    flip with the largest ``single_flip_distortions`` value."""
+    n_start = k_hop_neighborhood(g, t, k)
+    chosen = []
+    for _ in range(budget):
+        edit, g = max(single_flip_distortions(model, g, t, k, n_start),
+                      key=lambda row: row[-1])[:2]
+        chosen.append(edit)
+    return chosen
+
+
+class TestBatchedGreedy:
+    """Greedy with a frozen model scores a step's flips with one patched
+    forward and re-embeds only the near-maximal ones; its edits must be
+    those of re-embedding every candidate."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_matches_stepwise_replay(self, data):
+        n = data.draw(st.integers(3, 14), label="n")
+        rng = rng_from_seed(data.draw(st.integers(0, 1 << 16), label="seed"))
+        density = data.draw(st.sampled_from([0.1, 0.3, 0.6]), label="p")
+        edges = [(i, j) for i in range(n) for j in range(i + 1, n)
+                 if rng.random() < density]
+        t = data.draw(st.integers(0, n - 1), label="t")
+        # hub: t is adjacent to every node, so every flip deletes;
+        # covered: a neighbor of t is adjacent to every node, so t's 2-hop
+        # hood is the whole graph and every added edge ties at zero;
+        # zero: an all-zero model, under which every flip ties
+        shape = data.draw(st.sampled_from(["plain", "hub", "covered", "zero"]),
+                          label="shape")
+        if shape in ("hub", "covered"):
+            h = t if shape == "hub" else (t + 1) % n
+            edges = sorted({*edges, *((min(h, x), max(h, x))
+                                      for x in range(n) if x != h)})
+        g = make_graph(n, edges)
+        for _ in range(data.draw(st.integers(0, 3), label="derived")):
+            u, v = rng.choice(n, size=2, replace=False).tolist()
+            g = apply_edit(g, flip_edit(g, u, v))
+        model = random_model(data.draw(st.sampled_from(["gin", "gcn"])), n,
+                             data.draw(st.integers(1, 3), label="layers"),
+                             int(rng.integers(1 << 16)))
+        if shape == "zero":
+            model = model.with_params({name: np.zeros_like(value) for
+                                       name, value in model.param_dict().items()})
+        budget = data.draw(st.integers(1, 3), label="budget")
+        k = data.draw(st.integers(1, 3), label="k")
+        assert greedy_attack(g, t, budget, k, model) == \
+            stepwise_embedding_greedy(model, g, t, budget, k)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_twin_ties_match_exact_scorer(self, data):
+        # groups of twins: equal neighbor sets and equal input rows, so the
+        # flips of t to one group tie exactly, and the batched and exact
+        # scorers round them apart in the last bits
+        rng = rng_from_seed(data.draw(st.integers(0, 1 << 16), label="seed"))
+        groups = data.draw(st.integers(2, 4), label="groups")
+        size = data.draw(st.integers(2, 3), label="size")
+        n = 1 + groups * size
+        group = np.repeat(np.arange(groups), size)
+        link = np.triu(rng.random((groups, groups)) < 0.5, 1)
+        link |= link.T
+        to_t = rng.random(groups) < 0.5
+        edges = [(0, 1 + i) for i in range(n - 1) if to_t[group[i]]]
+        edges += [(1 + i, 1 + j) for i in range(n - 1) for j in range(i + 1, n - 1)
+                  if link[group[i], group[j]]]
+        backend = data.draw(st.sampled_from(["gin", "gcn"]), label="backend")
+        model = random_model(backend, n, data.draw(st.integers(1, 3)),
+                             int(rng.integers(1 << 16)))
+        w = model.layers[0].w1 if backend == "gin" else model.weights[0]
+        w[1:] = w[1 + group * size]
+        g = make_graph(n, edges)
+        budget = data.draw(st.integers(1, 3), label="budget")
+        k = data.draw(st.integers(1, 3), label="k")
+        assert greedy_attack(g, 0, budget, k, model) == \
+            exact_greedy(model, g, 0, budget, k)
+
+    @pytest.mark.parametrize("backend", ["gin", "gcn"])
+    def test_accessible_matches_stepwise_replay(self, backend, small_sbm):
+        model = random_model(backend, small_sbm.node_count, 2, 7)
+        accessible = [11, 2, 5, 3, 8, 2]
+        got = greedy_attack(small_sbm, 3, 3, k=2, embed_model=model,
+                            accessible=accessible)
+        assert all({e.u, e.v} - {3} <= set(accessible) for e in got)
+        assert got == stepwise_embedding_greedy(model, small_sbm, 3, 3, 2,
+                                                accessible)
+
+    def test_one_base_forward_per_step(self, monkeypatch, small_sbm):
+        model = GinParams.init(small_sbm.node_count, 4, 2, rng_from_seed(4))
+        bases, rescored = [], []
+
+        def counting_base(embed_model, g):
+            bases.append(g)
+            return distortion_mod.flip_base(embed_model, g)
+
+        def counting_forward(embed_model, g):
+            rescored.append(g)
+            return embedding_forward(embed_model, g)
+
+        monkeypatch.setattr(oracles_mod, "flip_base", counting_base)
+        monkeypatch.setattr(distortion_mod, "embedding_forward",
+                            counting_forward)
+        budget = 3
+        got = greedy_attack(small_sbm, 3, budget, k=2, embed_model=model)
+        assert got == stepwise_embedding_greedy(model, small_sbm, 3, budget, 2)
+        # no two flips of this target tie, so each step re-embeds only its
+        # winner, against n - 1 = 11 candidates
+        assert len(bases) == budget
+        assert len(rescored) == budget
 
 
 class TestBaselines:
